@@ -13,13 +13,13 @@ the usual bonds.  The encoded state is ``rho = X X†`` where ``X`` is the MPS
 over the joint ``(physical, Kraus)`` legs — positivity is structural, never
 enforced numerically.
 
-* **Unitaries** act on the physical legs exactly as in
-  :class:`~repro.core.mps.MPSState` and reuse the same structured-gate
-  taxonomy: diagonal/permutation gates on adjacent pairs apply through the
-  cached operator-Schmidt bond expansion (no state SVD), dense gates merge
-  a theta tensor and split with truncated SVD, and non-adjacent pairs route
-  via swap insertion.  Discarded Born weight accumulates in
-  :attr:`LPDOState.truncation_error`.
+* **Unitaries** act on the physical legs through the tensor-train core
+  shared with :class:`~repro.core.mps.MPSState`
+  (:class:`~repro.core.tensor_utils.TensorTrainState`): diagonal/permutation
+  gates on adjacent pairs apply through the cached operator-Schmidt bond
+  expansion (no state SVD), dense gates merge a theta tensor and split with
+  truncated SVD, and non-adjacent pairs route via swap insertion.
+  Discarded Born weight accumulates in :attr:`LPDOState.truncation_error`.
 * **Channels are exact, not sampled**: applying Kraus family ``{K_m}``
   grows the target site's Kraus leg by the factor ``m`` —
   ``A'[l, p', (k, m), r] = sum_p K_m[p', p] A[l, p, k, r]`` — which
@@ -32,36 +32,31 @@ enforced numerically.
   built, so exact noisy evolution reaches 12-16+ qutrit registers whose
   density matrix (``3^24`` entries) could never be allocated.
 
-A canonical-form interval is maintained exactly as in the MPS backend
-(QR sweeps over the joint ``(physical, Kraus)`` leg), so truncations are
-locally optimal and expectations contract only the non-orthogonal segment.
+The shared core keeps the canonical-form interval with QR sweeps over the
+joint ``(physical, Kraus)`` leg, so truncations are locally optimal and
+expectations contract only the non-orthogonal segment.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 
 from . import budget as _budget
 from .circuit import Instruction, QuditCircuit
-from .dims import validate_dims
-from .exceptions import DimensionError, SimulationError
-from .mps import MPSState, _classify_observable, _sorted_gate, operator_schmidt_factors
-from .rng import ensure_rng, sanitize_probabilities
+from .exceptions import SimulationError
+from .mps import MPSState
+from .rng import RngLike, ensure_rng, sanitize_probabilities
 from ..obs import metrics as _metrics
-from ..obs import tracing as _tracing
-from .structure import DIAGONAL, PERMUTATION, GateStructure, classify_gate
-from .tensor_utils import qr_step_left, qr_step_right, truncated_svd
+from .structure import classify_gate
+from .tensor_utils import DENSE_CAP, Ops, TensorTrainState, _check_digits
 
 __all__ = ["LPDOState"]
 
-#: Refuse to densify (``to_density_matrix`` / ``probabilities``) above this
-#: many density-matrix entries — at that point the LPDO *is* the state.
-_DENSE_CAP = 1 << 22
 
-
-class LPDOState:
+class LPDOState(TensorTrainState):
     """A (possibly mixed) qudit-register state in locally-purified form.
 
     Args:
@@ -85,6 +80,9 @@ class LPDOState:
         0.333
     """
 
+    backend = "lpdo"
+    _kraus_label = "k"
+
     def __init__(
         self,
         tensors: Sequence[np.ndarray],
@@ -94,89 +92,12 @@ class LPDOState:
         max_kraus: int | None = None,
         svd_tol: float = 1e-12,
     ) -> None:
-        dims = validate_dims(dims)
-        if len(tensors) != len(dims):
-            raise DimensionError(
-                f"{len(tensors)} tensors for a {len(dims)}-site register"
-            )
-        tensors = [np.asarray(t, dtype=complex) for t in tensors]
-        bond = 1
-        for i, (t, d) in enumerate(zip(tensors, dims)):
-            if t.ndim != 4 or t.shape[1] != d or t.shape[0] != bond:
-                raise DimensionError(
-                    f"site {i} tensor has shape {t.shape}; expected "
-                    f"({bond}, {d}, *, *)"
-                )
-            bond = t.shape[3]
-        if bond != 1:
-            raise DimensionError(f"final bond dimension {bond} != 1")
-        if max_bond is not None and max_bond < 1:
-            raise SimulationError("max_bond must be >= 1")
+        super().__init__(tensors, dims, max_bond=max_bond, svd_tol=svd_tol)
         if max_kraus is not None and max_kraus < 1:
             raise SimulationError("max_kraus must be >= 1")
-        self._tensors = tensors
-        self._dims = list(dims)
-        self.max_bond = max_bond
         self.max_kraus = max_kraus
-        self.svd_tol = float(svd_tol)
-        #: Cumulative trace weight discarded by bond-truncating SVDs.
-        self.truncation_error = 0.0
         #: Cumulative trace weight discarded by Kraus-leg truncations.
         self.purification_error = 0.0
-        # Canonical interval: sites < lo are left-orthogonal, > hi right-.
-        self._lo = 0
-        self._hi = 0 if self._is_product() else len(dims) - 1
-
-    def _is_product(self) -> bool:
-        return all(t.shape[0] == 1 and t.shape[3] == 1 for t in self._tensors)
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def zero(
-        cls,
-        dims: Sequence[int],
-        *,
-        max_bond: int | None = None,
-        max_kraus: int | None = None,
-        svd_tol: float = 1e-12,
-    ) -> "LPDOState":
-        """The all-|0> pure product state."""
-        return cls.basis(
-            dims,
-            [0] * len(validate_dims(dims)),
-            max_bond=max_bond,
-            max_kraus=max_kraus,
-            svd_tol=svd_tol,
-        )
-
-    @classmethod
-    def basis(
-        cls,
-        dims: Sequence[int],
-        digits: Sequence[int],
-        *,
-        max_bond: int | None = None,
-        max_kraus: int | None = None,
-        svd_tol: float = 1e-12,
-    ) -> "LPDOState":
-        """Computational basis state ``|digits><digits|`` (all legs size 1)."""
-        dims = validate_dims(dims)
-        if len(digits) != len(dims):
-            raise DimensionError(
-                f"{len(digits)} digits for a {len(dims)}-site register"
-            )
-        tensors = []
-        for d, k in zip(dims, digits):
-            if not 0 <= int(k) < d:
-                raise DimensionError(f"digit {k} out of range for dim {d}")
-            t = np.zeros((1, d, 1, 1), dtype=complex)
-            t[0, int(k), 0, 0] = 1.0
-            tensors.append(t)
-        return cls(
-            tensors, dims, max_bond=max_bond, max_kraus=max_kraus, svd_tol=svd_tol
-        )
 
     @classmethod
     def from_mps(
@@ -202,171 +123,17 @@ class LPDOState:
         out._lo, out._hi = mps._lo, mps._hi
         return out
 
-    @classmethod
-    def from_statevector(
-        cls,
-        state,
-        *,
-        max_bond: int | None = None,
-        max_kraus: int | None = None,
-        svd_tol: float = 1e-12,
-    ) -> "LPDOState":
-        """Pure-state LPDO of a dense state (every Kraus leg is size 1)."""
-        out = cls.from_mps(
-            MPSState.from_statevector(state, max_bond=max_bond, svd_tol=svd_tol),
-            max_kraus=max_kraus,
-        )
-        return out
-
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-    @property
-    def dims(self) -> tuple[int, ...]:
-        """Per-site physical dimensions."""
-        return tuple(self._dims)
-
-    @property
-    def num_sites(self) -> int:
-        """Number of register sites."""
-        return len(self._dims)
-
-    @property
-    def dim(self) -> int:
-        """Total Hilbert-space dimension (python int; may be astronomically large)."""
-        out = 1
-        for d in self._dims:
-            out *= d
-        return out
-
-    def bond_dimensions(self) -> tuple[int, ...]:
-        """Current bond dimension at each of the ``n - 1`` internal bonds."""
-        return tuple(t.shape[3] for t in self._tensors[:-1])
-
     def kraus_dimensions(self) -> tuple[int, ...]:
         """Current Kraus-leg dimension at each site (1 while pure)."""
         return tuple(t.shape[2] for t in self._tensors)
 
-    def site_tensor(self, i: int) -> np.ndarray:
-        """The (read-only view of the) tensor at site ``i``."""
-        return self._tensors[i]
-
-    def copy(self) -> "LPDOState":
-        """Cheap copy (tensors are replaced, never mutated, so sharing is safe)."""
-        out = LPDOState.__new__(LPDOState)
-        out._tensors = list(self._tensors)
-        out._dims = list(self._dims)
-        out.max_bond = self.max_bond
-        out.max_kraus = self.max_kraus
-        out.svd_tol = self.svd_tol
-        out.truncation_error = self.truncation_error
-        out.purification_error = self.purification_error
-        out._lo, out._hi = self._lo, self._hi
-        return out
-
-    # ------------------------------------------------------------------
-    # canonical-form maintenance (joint (physical, Kraus) leg)
-    # ------------------------------------------------------------------
-    def _qr_step_right(self, i: int) -> None:
-        """Left-orthogonalise site ``i``, absorbing the remainder rightward."""
-        qr_step_right(self._tensors, i)
-        self._lo = i + 1
-        self._hi = max(self._hi, i + 1)
-
-    def _qr_step_left(self, i: int) -> None:
-        """Right-orthogonalise site ``i``, absorbing the remainder leftward."""
-        qr_step_left(self._tensors, i)
-        self._hi = i - 1
-        self._lo = min(self._lo, i - 1)
-
-    def _canonicalize(self, lo: int, hi: int) -> None:
-        """Shrink the non-orthogonal interval into ``[lo, hi]``."""
-        while self._lo < lo:
-            self._qr_step_right(self._lo)
-        while self._hi > hi:
-            self._qr_step_left(self._hi)
-
-    def _trace_from_interval(self) -> float:
-        """``Tr(rho)`` via contraction of the non-orthogonal segment only."""
-        env = None
-        for i in range(self._lo, min(self._hi, self.num_sites - 1) + 1):
-            t = self._tensors[i]
-            if env is None:
-                env = np.einsum("ldkr,ldks->rs", t.conj(), t)
-            else:
-                env = np.einsum(
-                    "xy,xdkr,ydks->rs", env, t.conj(), t, optimize=True
-                )
-        return float(np.real(np.trace(env)))
-
     def trace(self) -> float:
         """``Tr(rho)`` — 1 for physical states up to truncation rescaling."""
-        return self._trace_from_interval()
+        return self._norm_sq()
 
     # ------------------------------------------------------------------
-    # SVD splitting (bond) and Kraus-leg recompression
+    # bond shrink and Kraus-leg recompression
     # ------------------------------------------------------------------
-    def _split_once(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Truncated SVD split of one flattened theta matrix.
-
-        Keeps at most ``max_bond`` singular values above the relative
-        tolerance, accumulates the discarded trace fraction into
-        :attr:`truncation_error`, and rescales the kept spectrum so
-        ``Tr(rho)`` is preserved.
-        """
-        if _tracing.enabled:
-            with _tracing.span("truncated_svd", backend="lpdo") as ev:
-                left, right, discarded = truncated_svd(
-                    mat, max_keep=self.max_bond, rel_tol=self.svd_tol
-                )
-                ev["args"]["chi"] = int(left.shape[1])
-        else:
-            left, right, discarded = truncated_svd(
-                mat, max_keep=self.max_bond, rel_tol=self.svd_tol
-            )
-        if discarded > 1e-16:
-            self.truncation_error += discarded
-        _budget.record_truncation(float(discarded), int(left.shape[1]))
-        if _metrics.enabled:
-            _metrics.set_gauge("bond_dim", left.shape[1], backend="lpdo")
-            _metrics.set_gauge(
-                "truncation_error", self.truncation_error, backend="lpdo"
-            )
-        return left, right
-
-    def _split_run(self, start: int, theta: np.ndarray) -> None:
-        """Split a merged ``(l, d_1, k_1, .., d_m, k_m, r)`` theta into sites.
-
-        Leaves the orthogonality centre on the last site of the run.
-        """
-        m = (theta.ndim - 2) // 2
-        for j in range(m - 1):
-            l, d, k = theta.shape[0], theta.shape[1], theta.shape[2]
-            rest = theta.shape[3:]
-            left, right = self._split_once(theta.reshape(l * d * k, -1))
-            self._tensors[start + j] = left.reshape(l, d, k, -1)
-            theta = right.reshape((right.shape[0],) + rest)
-        self._tensors[start + m - 1] = theta
-        self._lo = self._hi = start + m - 1
-
-    def _exact_cap(self, i: int) -> int:
-        """Upper bound on the purification's Schmidt rank across bond ``i``."""
-        left = 1
-        for t in self._tensors[: i + 1]:
-            left *= t.shape[1] * t.shape[2]
-        right = 1
-        for t in self._tensors[i + 1:]:
-            right *= t.shape[1] * t.shape[2]
-        return min(left, right)
-
-    def _truncate_bond(self, i: int) -> None:
-        """Re-compress the bond between sites ``i`` and ``i + 1``."""
-        self._canonicalize(i, i + 1)
-        theta = np.einsum(
-            "ldkr,rems->ldkems", self._tensors[i], self._tensors[i + 1]
-        )
-        self._split_run(i, theta)
-
     def _shrink_bond_from_centre(self, i: int) -> None:
         """Optimally truncate the bond left of site ``i`` without a theta merge.
 
@@ -379,31 +146,8 @@ class LPDOState:
         """
         t = self._tensors[i]
         l, d, k, r = t.shape
-        if _tracing.enabled:
-            with _tracing.span("truncated_svd", backend="lpdo") as ev:
-                left, right, discarded = truncated_svd(
-                    t.reshape(l, d * k * r),
-                    max_keep=self.max_bond,
-                    rel_tol=self.svd_tol,
-                )
-                ev["args"]["chi"] = int(left.shape[1])
-        else:
-            left, right, discarded = truncated_svd(
-                t.reshape(l, d * k * r),
-                max_keep=self.max_bond,
-                rel_tol=self.svd_tol,
-            )
-        if discarded > 1e-16:
-            self.truncation_error += discarded
-        _budget.record_truncation(float(discarded), int(left.shape[1]))
-        if _metrics.enabled:
-            _metrics.set_gauge("bond_dim", left.shape[1], backend="lpdo")
-            _metrics.set_gauge(
-                "truncation_error", self.truncation_error, backend="lpdo"
-            )
-        self._tensors[i - 1] = np.tensordot(
-            self._tensors[i - 1], left, axes=(3, 0)
-        )
+        left, right = self._split_once(t.reshape(l, d * k * r))
+        self._tensors[i - 1] = np.tensordot(self._tensors[i - 1], left, axes=(3, 0))
         self._tensors[i] = right.reshape(-1, d, k, r)
 
     def _truncate_kraus(self, site: int) -> None:
@@ -460,208 +204,21 @@ class LPDOState:
         discarded = 1.0 - kept / total
         if discarded > 1e-16:
             self.purification_error += discarded
-        _budget.record_purification(
-            float(discarded), int(np.count_nonzero(keep))
-        )
+        _budget.record_purification(float(discarded), int(np.count_nonzero(keep)))
         new = (mat @ vec[:, keep]) * np.sqrt(total / kept)
         if _metrics.enabled:
             _metrics.set_gauge(
-                "kraus_dim", int(np.count_nonzero(keep)), backend="lpdo"
+                "kraus_dim", int(np.count_nonzero(keep)), backend=self.backend
             )
             _metrics.set_gauge(
-                "purification_error", self.purification_error, backend="lpdo"
+                "purification_error", self.purification_error, backend=self.backend
             )
-        return np.ascontiguousarray(
-            new.reshape(l, d, r, -1).transpose(0, 1, 3, 2)
-        )
-
-    # ------------------------------------------------------------------
-    # gate application (physical legs; Kraus legs ride along)
-    # ------------------------------------------------------------------
-    def _apply_site(
-        self,
-        site: int,
-        matrix: np.ndarray,
-        structure: GateStructure,
-        unitary: bool = True,
-    ) -> None:
-        """Contract a one-site operator into the physical leg (never any SVD)."""
-        t = self._tensors[site]
-        if structure.kind == DIAGONAL:
-            t = t * structure.diag[None, :, None, None]
-        elif structure.kind == PERMUTATION:
-            t = t.take(structure.source, axis=1)
-            if structure.values is not None:
-                t = t * structure.values[None, :, None, None]
-        else:
-            t = np.einsum("ab,lbkr->lakr", matrix, t)
-        self._tensors[site] = t
-        if not unitary:
-            self._lo = min(self._lo, site)
-            self._hi = max(self._hi, site)
-
-    def _merge_theta(self, start: int, m: int) -> np.ndarray:
-        """Merge sites ``start .. start + m - 1`` into one theta tensor."""
-        theta = self._tensors[start]
-        for j in range(1, m):
-            theta = np.tensordot(theta, self._tensors[start + j], axes=(-1, 0))
-        return theta
-
-    def _apply_theta(
-        self, theta: np.ndarray, matrix: np.ndarray, structure: GateStructure
-    ) -> np.ndarray:
-        """Apply an operator to a merged theta's joint *physical* axis.
-
-        The theta's legs interleave as ``(l, d_1, k_1, .., d_m, k_m, r)``;
-        the physical legs are gathered to the front, transformed through
-        the structure fast path, and scattered back.
-        """
-        m = (theta.ndim - 2) // 2
-        if m == 1:
-            flat = theta.reshape(theta.shape[0], structure.dim, -1)
-            moved = None
-        else:
-            perm = (
-                [0]
-                + [1 + 2 * j for j in range(m)]
-                + [2 + 2 * j for j in range(m)]
-                + [theta.ndim - 1]
-            )
-            moved = np.transpose(theta, perm)
-            flat = moved.reshape(moved.shape[0], structure.dim, -1)
-        if structure.kind == DIAGONAL:
-            flat = flat * structure.diag[None, :, None]
-        elif structure.kind == PERMUTATION:
-            flat = flat.take(structure.source, axis=1)
-            if structure.values is not None:
-                flat = flat * structure.values[None, :, None]
-        else:
-            flat = np.einsum("ab,lbr->lar", matrix, flat)
-        if moved is None:
-            return flat.reshape(theta.shape)
-        out = flat.reshape(moved.shape)
-        return np.transpose(out, np.argsort(perm))
-
-    def _expand_pair(
-        self, start: int, left: np.ndarray, right: np.ndarray
-    ) -> None:
-        """Bond-expansion application of ``sum_q left[q] (x) right[q]``.
-
-        No state SVD: the shared bond is multiplied by the operator
-        Schmidt rank, with the Kraus legs untouched.
-        """
-        a, b = self._tensors[start], self._tensors[start + 1]
-        terms = left.shape[0]
-        la, da, ka, ra = a.shape
-        lb, db, kb, rb = b.shape
-        new_a = np.einsum("qab,lbkr->lakrq", left, a).reshape(
-            la, da, ka, ra * terms
-        )
-        new_b = np.einsum("qcb,lbkr->lqckr", right, b).reshape(
-            lb * terms, db, kb, rb
-        )
-        self._tensors[start] = new_a
-        self._tensors[start + 1] = new_b
-        self._lo = min(self._lo, start)
-        self._hi = max(self._hi, start + 1)
-
-    def _apply_run(
-        self, start: int, m: int, matrix: np.ndarray, structure: GateStructure
-    ) -> None:
-        """Apply an operator to ``m`` contiguous sites starting at ``start``."""
-        if m == 1:
-            self._apply_site(start, matrix, structure)
-            return
-        if m == 2 and structure.kind in (DIAGONAL, PERMUTATION):
-            d_left, d_right = self._dims[start], self._dims[start + 1]
-            key = ("op_schmidt", d_left, d_right)
-            factors = structure.plans.get(key)
-            if factors is None:
-                factors = operator_schmidt_factors(
-                    structure.matrix, d_left, d_right
-                )
-                structure.plans[key] = factors
-            left, right = factors
-            bond = self._tensors[start].shape[3]
-            new_bond = bond * left.shape[0]
-            if self.max_bond is None or new_bond <= self.max_bond:
-                self._expand_pair(start, left, right)
-                if new_bond > min(
-                    self.max_bond or new_bond, self._exact_cap(start)
-                ):
-                    self._truncate_bond(start)
-                return
-        self._canonicalize(start, start + m - 1)
-        theta = self._apply_theta(self._merge_theta(start, m), matrix, structure)
-        self._split_run(start, theta)
-
-    def _swap_adjacent(self, i: int) -> None:
-        """Exchange sites ``i`` and ``i + 1`` (theta transpose + SVD split)."""
-        self._canonicalize(i, i + 1)
-        theta = np.einsum(
-            "ldkr,rems->ldkems", self._tensors[i], self._tensors[i + 1]
-        )
-        theta = theta.transpose(0, 3, 4, 1, 2, 5)
-        self._dims[i], self._dims[i + 1] = self._dims[i + 1], self._dims[i]
-        self._split_run(i, theta)
-
-    def _route_and_apply(self, targets, apply_fn) -> None:
-        """Swap distant pair targets adjacent, run ``apply_fn``, swap back."""
-        u, v = targets
-        for j in range(v - 1, u, -1):
-            self._swap_adjacent(j)
-        apply_fn(u)
-        for j in range(u + 1, v):
-            self._swap_adjacent(j)
-
-    def apply_unitary(
-        self,
-        matrix: np.ndarray,
-        targets: int | Sequence[int],
-        structure: GateStructure | None = None,
-    ) -> None:
-        """Apply a unitary to the target wires (in place): ``U rho U†``.
-
-        Targets must be a single wire, a contiguous run of wires (any
-        order), or two arbitrary wires (routed via swap insertion).
-        """
-        if isinstance(targets, (int, np.integer)):
-            targets = (int(targets),)
-        matrix = np.asarray(matrix, dtype=complex)
-        structure, targets = _sorted_gate(matrix, structure, targets, self._dims)
-        for t in targets:
-            if not 0 <= t < self.num_sites:
-                raise SimulationError(f"wire {t} out of range")
-        if _metrics.enabled or _tracing.enabled:
-            _metrics.inc("gate_applies", backend="lpdo", kind=structure.kind)
-            with _tracing.span("gate_apply", backend="lpdo", kind=structure.kind):
-                self._dispatch_gate(targets, structure)
-            return
-        self._dispatch_gate(targets, structure)
-
-    def _dispatch_gate(self, targets: tuple[int, ...], structure) -> None:
-        """Route a validated, sorted gate to the contiguous-run kernel."""
-        m = len(targets)
-        first = targets[0]
-        if targets == tuple(range(first, first + m)):
-            self._apply_run(first, m, structure.matrix, structure)
-            return
-        if m != 2:
-            raise SimulationError(
-                f"LPDO gates must target one wire, a contiguous run, or two "
-                f"wires; got {targets}"
-            )
-        self._route_and_apply(
-            targets,
-            lambda start: self._apply_run(
-                start, 2, structure.matrix, structure
-            ),
-        )
+        return np.ascontiguousarray(new.reshape(l, d, r, -1).transpose(0, 1, 3, 2))
 
     # ------------------------------------------------------------------
     # channels (exact: the Kraus leg absorbs the sum over operators)
     # ------------------------------------------------------------------
-    def _apply_kraus_pair(self, start: int, ops) -> None:
+    def _apply_kraus_pair(self, start: int, ops: Ops) -> None:
         """Exactly apply a Kraus family on the adjacent pair ``(start, start+1)``.
 
         The *whole family* is Schmidt-split across the bond cut —
@@ -697,27 +254,19 @@ class LPDOState:
         la, _, ka, ra = a.shape
         lb, _, kb, rb = b.shape
         rank = left.shape[0]
-        new_a = np.einsum("qab,lbkr->lakrq", left, a).reshape(
-            la, d_left, ka, ra * rank
-        )
+        new_a = np.einsum("qab,lbkr->lakrq", left, a).reshape(la, d_left, ka, ra * rank)
         cap = self.max_kraus
         limit = 64 if cap is None else max(4 * cap, 32)
         step = max(1, limit // max(kb, 1))
-        acc = None
+        acc: Any = None
         for first_op in range(0, count, step):
-            block = right[:, :, :, first_op:first_op + step]
-            piece = np.einsum(
-                "qcbm,lbkr->lqckmr", block, b, optimize=True
-            ).reshape(lb * rank, d_right, kb * block.shape[3], rb)
-            acc = (
-                piece
-                if acc is None
-                else np.concatenate((acc, piece), axis=2)
+            block = right[:, :, :, first_op : first_op + step]
+            piece = np.einsum("qcbm,lbkr->lqckmr", block, b, optimize=True).reshape(
+                lb * rank, d_right, kb * block.shape[3], rb
             )
+            acc = piece if acc is None else np.concatenate((acc, piece), axis=2)
             if acc.shape[2] > limit and first_op + step < count:
-                acc = self._compress_kraus_leg(
-                    acc, None if cap is None else limit
-                )
+                acc = self._compress_kraus_leg(acc, None if cap is None else limit)
         self._tensors[start] = new_a
         self._tensors[start + 1] = acc
         self._lo = min(self._lo, start)
@@ -729,7 +278,7 @@ class LPDOState:
         self._truncate_kraus(start + 1)
         self._shrink_bond_from_centre(start + 1)
 
-    def _apply_kraus_run(self, start: int, m: int, ops) -> None:
+    def _apply_kraus_run(self, start: int, m: int, ops: Ops) -> None:
         """Exactly apply a Kraus family on ``m`` contiguous sites.
 
         ``rho' = sum_m K_m rho K_m†`` is reproduced with no sampling: one
@@ -742,7 +291,7 @@ class LPDOState:
             return
         self._canonicalize(start, start + m - 1)
         theta = self._merge_theta(start, m)
-        branches = [self._apply_theta(theta, op, st) for op, st in ops]
+        branches = [self._apply_theta(theta, st) for _, st in ops]
         stacked = np.stack(branches, axis=-2)
         merged = stacked.reshape(
             theta.shape[:-2] + (theta.shape[-2] * len(ops), theta.shape[-1])
@@ -755,33 +304,20 @@ class LPDOState:
             self._split_run(start, merged)
         self._truncate_kraus(start + m - 1)
 
-    def _apply_channel(self, instruction: Instruction) -> None:
-        """Exactly apply one channel instruction (contiguous or 2 distant wires)."""
-        targets = instruction.qudits
-        structures = instruction.kraus_structures()
-        ops = []
-        for op, st in zip(instruction.kraus, structures):
-            st, _sorted = _sorted_gate(op, st, targets, self._dims)
-            ops.append((st.matrix, st))
-        targets = tuple(sorted(int(t) for t in targets))
-        m = len(targets)
-        contiguous = targets == tuple(range(targets[0], targets[0] + m))
+    def _apply_channel(self, instruction: Instruction, rng: RngLike) -> None:
+        """Exactly apply one channel instruction (``rng`` is ignored)."""
+        ops, targets, contiguous = self._channel_ops(instruction)
         if contiguous:
-            self._apply_kraus_run(targets[0], m, ops)
+            self._apply_kraus_run(targets[0], len(targets), ops)
             return
-        if m != 2:
-            raise SimulationError(
-                f"LPDO channels must target one wire, a contiguous run, or "
-                f"two wires; got {targets}"
-            )
         self._route_and_apply(
             targets, lambda start: self._apply_kraus_run(start, 2, ops)
         )
 
-    def _reset_site(self, site: int) -> None:
+    def _reset_site(self, site: int, rng: RngLike) -> None:
         """Trace out one wire and re-prepare it in |0> (exact, no sampling)."""
         d = self._dims[site]
-        ops = []
+        ops: Ops = []
         for level in range(d):
             op = np.zeros((d, d), dtype=complex)
             op[0, level] = 1.0
@@ -791,135 +327,26 @@ class LPDOState:
     # ------------------------------------------------------------------
     # circuit evolution
     # ------------------------------------------------------------------
-    def apply_instruction(self, instruction: Instruction, rng=None) -> None:
-        """Apply one circuit instruction in place.
-
-        Args:
-            instruction: unitary / channel / measure / reset instruction.
-            rng: accepted for API symmetry with the stochastic backends and
-                ignored — LPDO evolution is fully deterministic.
-        """
-        if instruction.kind == "unitary":
-            self.apply_unitary(
-                instruction.matrix,
-                instruction.qudits,
-                structure=instruction.structure(),
-            )
-        elif instruction.kind == "channel":
-            self._apply_channel(instruction)
-        elif instruction.kind == "measure":
-            pass  # terminal measurement is implicit in sampling
-        elif instruction.kind == "reset":
-            self._reset_site(instruction.qudits[0])
-        else:  # pragma: no cover - kinds validated at circuit build time
-            raise SimulationError(f"unknown kind {instruction.kind}")
-
-    def evolve(self, circuit: QuditCircuit, rng=None) -> "LPDOState":
+    def evolve(self, circuit: QuditCircuit, rng: RngLike = None) -> "LPDOState":
         """Run a circuit and return the evolved state (self is unchanged).
 
         Channels are applied *exactly* through the Kraus leg — unlike the
         MPS backend there is nothing stochastic here, so one evolution is
         the full noisy answer (``rng`` is accepted and ignored).
         """
-        if circuit.dims != self.dims:
-            raise DimensionError(
-                f"circuit dims {circuit.dims} != state dims {self.dims}"
-            )
-        out = self.copy()
-        for instruction in circuit:
-            out.apply_instruction(instruction)
-        return out
+        return self._run(circuit)
 
     # ------------------------------------------------------------------
     # observables
     # ------------------------------------------------------------------
-    def expectation(
-        self, operator: np.ndarray, targets: int | Sequence[int] | None = None
-    ) -> complex:
-        """``Tr(rho O) / Tr(rho)`` of a local operator.
-
-        Supports one wire, a contiguous run of wires, and two arbitrary
-        wires (contracted through the intervening transfer matrices via the
-        operator-Schmidt decomposition — no swaps, no truncation).
-        """
-        if targets is None:
-            targets = tuple(range(self.num_sites))
-        if isinstance(targets, (int, np.integer)):
-            targets = (int(targets),)
-        operator = np.asarray(operator, dtype=complex)
-        structure, targets = _sorted_gate(
-            operator, _classify_observable(operator), targets, self._dims
-        )
-        operator = structure.matrix
-        m = len(targets)
-        first = targets[0]
-        if targets == tuple(range(first, first + m)):
-            expected = 1
-            for t in targets:
-                expected *= self._dims[t]
-            if operator.shape != (expected, expected):
-                raise DimensionError(
-                    f"operator shape {operator.shape} does not span wires "
-                    f"{targets} (dimension {expected})"
-                )
-            self._canonicalize(first, first + m - 1)
-            theta = self._merge_theta(first, m)
-            transformed = self._apply_theta(theta, operator, structure)
-            value = complex(np.vdot(theta, transformed))
-            denom = float(np.real(np.vdot(theta, theta)))
-            return value / denom
-        if m != 2:
-            raise SimulationError(
-                f"LPDO expectation targets must be one wire, a contiguous "
-                f"run, or two wires; got {targets}"
-            )
-        u, v = targets
-        key = ("op_schmidt", self._dims[u], self._dims[v])
-        factors = structure.plans.get(key)
-        if factors is None:
-            factors = operator_schmidt_factors(
-                operator, self._dims[u], self._dims[v]
-            )
-            structure.plans[key] = factors
-        left, right = factors
-        self._canonicalize(u, v)
-        a_u = self._tensors[u]
-        envs = np.einsum("xdkr,qdc,xcks->qrs", a_u.conj(), left, a_u)
-        norm_env = np.einsum("xdkr,xdks->rs", a_u.conj(), a_u)
-        for j in range(u + 1, v):
-            t = self._tensors[j]
-            envs = np.einsum(
-                "qxy,xdkr,ydks->qrs", envs, t.conj(), t, optimize=True
-            )
-            norm_env = np.einsum(
-                "xy,xdkr,ydks->rs", norm_env, t.conj(), t, optimize=True
-            )
-        a_v = self._tensors[v]
-        value = complex(
-            np.einsum(
-                "qxy,xdkr,qdc,yckr->", envs, a_v.conj(), right, a_v,
-                optimize=True,
-            )
-        )
-        denom = float(
-            np.real(np.einsum("xy,xdkr,ydkr->", norm_env, a_v.conj(), a_v))
-        )
-        return value / denom
-
     def probabilities_of(self, digits: Sequence[int]) -> float:
         """Probability ``<digits| rho |digits> / Tr(rho)`` in ``O(n chi^3 kappa)``."""
-        if len(digits) != self.num_sites:
-            raise DimensionError(
-                f"{len(digits)} digits for a {self.num_sites}-site register"
-            )
         env = np.ones((1, 1), dtype=complex)
-        for t, digit in zip(self._tensors, digits):
-            block = t[:, int(digit)]
-            env = np.einsum(
-                "xy,xkr,yks->rs", env, block.conj(), block, optimize=True
-            )
+        for t, digit in zip(self._tensors, _check_digits(self._dims, digits)):
+            block = t[:, digit]
+            env = np.einsum("xy,xkr,yks->rs", env, block.conj(), block, optimize=True)
         value = float(np.real(env[0, 0]))
-        return value / self._trace_from_interval()
+        return value / self._norm_sq()
 
     # Alias matching the dense DensityMatrix surface.
     probability_of = probabilities_of
@@ -943,12 +370,8 @@ class LPDOState:
             env = np.ones((1, 1), dtype=complex)
             digits = []
             for t in self._tensors:
-                cond = np.einsum(
-                    "xy,xdkr,ydks->drs", env, t.conj(), t, optimize=True
-                )
-                probs = sanitize_probabilities(
-                    np.trace(cond, axis1=1, axis2=2)
-                )
+                cond = np.einsum("xy,xdkr,ydks->drs", env, t.conj(), t, optimize=True)
+                probs = sanitize_probabilities(np.trace(cond, axis1=1, axis2=2))
                 outcome = int(rng.choice(len(probs), p=probs))
                 digits.append(outcome)
                 weight = float(np.real(np.trace(cond[outcome])))
@@ -967,10 +390,8 @@ class LPDOState:
             SimulationError: if the density matrix would exceed ~4M entries
                 — at that point the LPDO *is* the representation.
         """
-        if self.dim * self.dim > _DENSE_CAP:
-            raise SimulationError(
-                f"register dimension {self.dim} too large to densify"
-            )
+        if self.dim * self.dim > DENSE_CAP:
+            raise SimulationError(f"register dimension {self.dim} too large to densify")
         from .density import DensityMatrix  # local import avoids a cycle
 
         # Double-layer contraction with each site's Kraus leg summed on the
@@ -978,9 +399,7 @@ class LPDOState:
         # the (globally redundant) product of Kraus legs.
         cur = np.ones((1, 1, 1, 1), dtype=complex)  # (ket, bra, r, s)
         for t in self._tensors:
-            cur = np.einsum(
-                "PQcx,cdkr,xeks->PdQers", cur, t, t.conj(), optimize=True
-            )
+            cur = np.einsum("PQcx,cdkr,xeks->PdQers", cur, t, t.conj(), optimize=True)
             cur = cur.reshape(
                 cur.shape[0] * cur.shape[1],
                 cur.shape[2] * cur.shape[3],

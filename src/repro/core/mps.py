@@ -30,10 +30,10 @@ Evolution is TEBD-style local gate contraction with SVD truncation:
   them exact), with a constant-weight fast path for channels whose Kraus
   operators all satisfy ``K†K ∝ I`` (depolarising / Weyl channels).
 
-The state keeps a canonical-form interval ``[lo, hi]`` — sites left of
-``lo`` are left-orthogonal, sites right of ``hi`` right-orthogonal — so
-truncations are locally optimal and norms/expectations only ever contract
-the non-orthogonal segment.
+The canonical form, the SVD splits, the unitary path and the expectation
+values are the tensor-train core shared with the LPDO engine
+(:class:`~repro.core.tensor_utils.TensorTrainState`); this module adds the
+stochastic channel unravelling, amplitudes, sampling and densification.
 """
 
 from __future__ import annotations
@@ -42,73 +42,22 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from . import budget as _budget
 from .circuit import Instruction, QuditCircuit
-from .dims import validate_dims
 from .exceptions import DimensionError, SimulationError
-from .rng import ensure_rng
-from ..obs import metrics as _metrics
-from ..obs import tracing as _tracing
-from .structure import DIAGONAL, PERMUTATION, GateStructure, classify_gate
-from .tensor_utils import qr_step_left, qr_step_right, truncated_svd
+from .rng import RngLike, ensure_rng
+from .structure import GateStructure
+from .tensor_utils import (
+    DENSE_CAP,
+    Ops,
+    TensorTrainState,
+    _check_digits,
+    operator_schmidt_factors,
+)
+
+# The observable memo lives with the shared core; it stays importable here.
+from .tensor_utils import _classify_observable as _classify_observable
 
 __all__ = ["MPSState", "operator_schmidt_factors"]
-
-#: Refuse to densify (``to_statevector`` / ``probabilities``) above this.
-_DENSE_CAP = 1 << 22
-
-#: Memoised classifications of caller-supplied observables, keyed by the
-#: operator's bytes — repeated ``expectation`` calls with the same handful
-#: of fixed operators (QAOA edge projectors, reservoir moments) reuse one
-#: :class:`GateStructure` and its cached operator-Schmidt factorisation
-#: instead of re-classifying / re-decomposing per call.
-_OBSERVABLE_CACHE: dict = {}
-_OBSERVABLE_CACHE_SIZE = 256
-
-
-def _classify_observable(operator: np.ndarray) -> GateStructure:
-    key = (operator.shape, operator.dtype.str, operator.tobytes())
-    cached = _OBSERVABLE_CACHE.get(key)
-    if cached is None:
-        if len(_OBSERVABLE_CACHE) >= _OBSERVABLE_CACHE_SIZE:
-            _OBSERVABLE_CACHE.clear()
-        cached = classify_gate(operator)
-        _OBSERVABLE_CACHE[key] = cached
-    return cached
-
-
-def operator_schmidt_factors(
-    matrix: np.ndarray, d_left: int, d_right: int, tol: float = 1e-14
-) -> tuple[np.ndarray, np.ndarray]:
-    """Operator-Schmidt decomposition ``U = sum_k S_k (x) T_k`` of a 2-site gate.
-
-    The SVD here is gate-sized (``d^2 x d^2``), computed once per gate
-    structure and cached — it never touches the state.
-
-    Args:
-        matrix: operator on the joint ``d_left * d_right`` space, tensor
-            order ``(left, right)``.
-        d_left: dimension of the left site.
-        d_right: dimension of the right site.
-        tol: singular values below ``tol * s_max`` are dropped (they are
-            numerically zero for structured gates).
-
-    Returns:
-        ``(left, right)`` stacks of shape ``(r, d_left, d_left)`` and
-        ``(r, d_right, d_right)`` with ``sum_k left[k] (x) right[k]``
-        reproducing the operator; ``r`` is the operator Schmidt rank.
-    """
-    tensor = np.asarray(matrix, dtype=complex).reshape(
-        d_left, d_right, d_left, d_right
-    )
-    mat = tensor.transpose(0, 2, 1, 3).reshape(d_left * d_left, d_right * d_right)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = s > tol * s[0]
-    u, s, vh = u[:, keep], s[keep], vh[keep]
-    root = np.sqrt(s)
-    left = (u * root).T.reshape(-1, d_left, d_left)
-    right = (root[:, None] * vh).reshape(-1, d_right, d_right)
-    return left, right
 
 
 def _gram_diag(op: np.ndarray, structure: GateStructure) -> np.ndarray | None:
@@ -118,9 +67,9 @@ def _gram_diag(op: np.ndarray, structure: GateStructure) -> np.ndarray | None:
     has gram ``|diag|^2`` and a monomial ``K`` has ``gram[source[r]] =
     |values[r]|^2``.
     """
-    if structure.kind == DIAGONAL:
+    if structure.diag is not None:
         return np.abs(structure.diag) ** 2
-    if structure.kind == PERMUTATION:
+    if structure.source is not None:
         out = np.empty(structure.dim)
         values = structure.values
         out[structure.source] = 1.0 if values is None else np.abs(values) ** 2
@@ -133,46 +82,7 @@ def _gram_diag(op: np.ndarray, structure: GateStructure) -> np.ndarray | None:
     return np.real(np.diagonal(gram)).copy()
 
 
-def _sorted_gate(
-    matrix: np.ndarray,
-    structure: GateStructure | None,
-    targets: Sequence[int],
-    dims: Sequence[int],
-) -> tuple[GateStructure, tuple[int, ...]]:
-    """Reorder a gate's tensor axes so its targets are ascending.
-
-    Returns the (possibly re-classified) structure of the axis-permuted
-    matrix and the sorted target tuple.  The permuted structure is cached
-    on the original structure's plan dict, so Trotter circuits permute and
-    re-classify each distinct gate once.
-    """
-    targets = tuple(int(t) for t in targets)
-    if structure is None:
-        structure = classify_gate(np.asarray(matrix, dtype=complex))
-    order = tuple(sorted(range(len(targets)), key=targets.__getitem__))
-    if order == tuple(range(len(targets))):
-        return structure, targets
-    gate_dims = [dims[t] for t in targets]
-    # The dims belong in the key: one GateStructure can be shared across
-    # registers (observable memo, reused instructions), and the same byte
-    # pattern permutes differently on e.g. (2, 3) vs (3, 2) wires.
-    key = ("axis_order", order, tuple(gate_dims))
-    permuted = structure.plans.get(key)
-    if permuted is None:
-        k = len(targets)
-        tensor = np.asarray(matrix, dtype=complex).reshape(gate_dims + gate_dims)
-        axes = list(order) + [a + k for a in order]
-        new_dim = structure.dim
-        permuted = classify_gate(
-            np.ascontiguousarray(np.transpose(tensor, axes)).reshape(
-                new_dim, new_dim
-            )
-        )
-        structure.plans[key] = permuted
-    return permuted, tuple(sorted(targets))
-
-
-class MPSState:
+class MPSState(TensorTrainState):
     """A pure state of a qudit register in matrix-product form.
 
     Args:
@@ -193,183 +103,8 @@ class MPSState:
         0.333
     """
 
-    def __init__(
-        self,
-        tensors: Sequence[np.ndarray],
-        dims: Sequence[int],
-        *,
-        max_bond: int | None = None,
-        svd_tol: float = 1e-12,
-    ) -> None:
-        dims = validate_dims(dims)
-        if len(tensors) != len(dims):
-            raise DimensionError(
-                f"{len(tensors)} tensors for a {len(dims)}-site register"
-            )
-        tensors = [np.asarray(t, dtype=complex) for t in tensors]
-        bond = 1
-        for i, (t, d) in enumerate(zip(tensors, dims)):
-            if t.ndim != 3 or t.shape[1] != d or t.shape[0] != bond:
-                raise DimensionError(
-                    f"site {i} tensor has shape {t.shape}; expected "
-                    f"({bond}, {d}, *)"
-                )
-            bond = t.shape[2]
-        if bond != 1:
-            raise DimensionError(f"final bond dimension {bond} != 1")
-        if max_bond is not None and max_bond < 1:
-            raise SimulationError("max_bond must be >= 1")
-        self._tensors = tensors
-        self._dims = list(dims)
-        self.max_bond = max_bond
-        self.svd_tol = float(svd_tol)
-        #: Cumulative discarded Born weight over all truncating SVDs.
-        self.truncation_error = 0.0
-        # Canonical interval: sites < lo are left-orthogonal, > hi right-.
-        self._lo = 0
-        self._hi = 0 if self._is_product() else len(dims) - 1
-
-    def _is_product(self) -> bool:
-        return all(t.shape[0] == 1 and t.shape[2] == 1 for t in self._tensors)
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def zero(
-        cls,
-        dims: Sequence[int],
-        *,
-        max_bond: int | None = None,
-        svd_tol: float = 1e-12,
-    ) -> "MPSState":
-        """The all-|0> product state."""
-        return cls.basis(dims, [0] * len(validate_dims(dims)),
-                         max_bond=max_bond, svd_tol=svd_tol)
-
-    @classmethod
-    def basis(
-        cls,
-        dims: Sequence[int],
-        digits: Sequence[int],
-        *,
-        max_bond: int | None = None,
-        svd_tol: float = 1e-12,
-    ) -> "MPSState":
-        """Computational basis state ``|digits>`` (bond dimension 1)."""
-        dims = validate_dims(dims)
-        if len(digits) != len(dims):
-            raise DimensionError(
-                f"{len(digits)} digits for a {len(dims)}-site register"
-            )
-        tensors = []
-        for d, k in zip(dims, digits):
-            if not 0 <= int(k) < d:
-                raise DimensionError(f"digit {k} out of range for dim {d}")
-            t = np.zeros((1, d, 1), dtype=complex)
-            t[0, int(k), 0] = 1.0
-            tensors.append(t)
-        return cls(tensors, dims, max_bond=max_bond, svd_tol=svd_tol)
-
-    @classmethod
-    def from_statevector(
-        cls,
-        state,
-        *,
-        max_bond: int | None = None,
-        svd_tol: float = 1e-12,
-    ) -> "MPSState":
-        """Exact (or ``max_bond``-truncated) MPS of a dense state.
-
-        Args:
-            state: a :class:`~repro.core.statevector.Statevector` or a flat
-                amplitude array paired with register dims via ``.dims``.
-        """
-        dims = validate_dims(state.dims)
-        out = cls.zero(dims, max_bond=max_bond, svd_tol=svd_tol)
-        theta = np.asarray(state.vector, dtype=complex).reshape(
-            (1,) + tuple(dims) + (1,)
-        )
-        if len(dims) == 1:
-            out._tensors = [theta]
-            out._lo = out._hi = 0
-        else:
-            out._lo, out._hi = 0, len(dims) - 1
-            out._split_run(0, theta)
-        return out
-
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-    @property
-    def dims(self) -> tuple[int, ...]:
-        """Per-site dimensions."""
-        return tuple(self._dims)
-
-    @property
-    def num_sites(self) -> int:
-        """Number of register sites."""
-        return len(self._dims)
-
-    @property
-    def dim(self) -> int:
-        """Total Hilbert-space dimension (python int; may be astronomically large)."""
-        out = 1
-        for d in self._dims:
-            out *= d
-        return out
-
-    def bond_dimensions(self) -> tuple[int, ...]:
-        """Current bond dimension at each of the ``n - 1`` internal bonds."""
-        return tuple(t.shape[2] for t in self._tensors[:-1])
-
-    def site_tensor(self, i: int) -> np.ndarray:
-        """The (read-only view of the) tensor at site ``i``."""
-        return self._tensors[i]
-
-    def copy(self) -> "MPSState":
-        """Cheap copy (tensors are replaced, never mutated, so sharing is safe)."""
-        out = MPSState.__new__(MPSState)
-        out._tensors = list(self._tensors)
-        out._dims = list(self._dims)
-        out.max_bond = self.max_bond
-        out.svd_tol = self.svd_tol
-        out.truncation_error = self.truncation_error
-        out._lo, out._hi = self._lo, self._hi
-        return out
-
-    # ------------------------------------------------------------------
-    # canonical-form maintenance
-    # ------------------------------------------------------------------
-    def _qr_step_right(self, i: int) -> None:
-        """Left-orthogonalise site ``i``, absorbing the remainder rightward."""
-        qr_step_right(self._tensors, i)
-        self._lo = i + 1
-        self._hi = max(self._hi, i + 1)
-
-    def _qr_step_left(self, i: int) -> None:
-        """Right-orthogonalise site ``i``, absorbing the remainder leftward."""
-        qr_step_left(self._tensors, i)
-        self._hi = i - 1
-        self._lo = min(self._lo, i - 1)
-
-    def _canonicalize(self, lo: int, hi: int) -> None:
-        """Shrink the non-orthogonal interval into ``[lo, hi]``."""
-        while self._lo < lo:
-            self._qr_step_right(self._lo)
-        while self._hi > hi:
-            self._qr_step_left(self._hi)
-
-    def _norm_sq(self) -> float:
-        """Squared norm via contraction of the non-orthogonal segment only."""
-        env = None
-        for i in range(self._lo, min(self._hi, self.num_sites - 1) + 1):
-            t = self._tensors[i]
-            if env is None:
-                env = np.einsum("ldr,lds->rs", t.conj(), t)
-            else:
-                env = np.einsum("xy,xdr,yds->rs", env, t.conj(), t, optimize=True)
-        return float(np.real(np.trace(env)))
+    backend = "mps"
+    _kraus_label = ""
 
     def norm(self) -> float:
         """2-norm of the encoded state."""
@@ -382,251 +117,11 @@ class MPSState:
         self._tensors[self._lo] = self._tensors[self._lo] / norm
 
     # ------------------------------------------------------------------
-    # SVD splitting
-    # ------------------------------------------------------------------
-    def _split_once(
-        self, mat: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Truncated SVD split of one flattened theta matrix.
-
-        Keeps at most ``max_bond`` singular values above the relative
-        tolerance, accumulates the discarded weight fraction into
-        :attr:`truncation_error`, and rescales the kept spectrum so the
-        state norm is preserved.
-        """
-        if _tracing.enabled:
-            with _tracing.span("truncated_svd", backend="mps") as ev:
-                left, right, discarded = truncated_svd(
-                    mat, max_keep=self.max_bond, rel_tol=self.svd_tol
-                )
-                ev["args"]["chi"] = int(left.shape[1])
-        else:
-            left, right, discarded = truncated_svd(
-                mat, max_keep=self.max_bond, rel_tol=self.svd_tol
-            )
-        if discarded > 1e-16:
-            self.truncation_error += discarded
-        _budget.record_truncation(float(discarded), int(left.shape[1]))
-        if _metrics.enabled:
-            _metrics.set_gauge("bond_dim", left.shape[1], backend="mps")
-            _metrics.set_gauge(
-                "truncation_error", self.truncation_error, backend="mps"
-            )
-        return left, right
-
-    def _split_run(self, start: int, theta: np.ndarray) -> None:
-        """Split a merged ``(l, d_1..d_k, r)`` theta back into site tensors.
-
-        Leaves the orthogonality centre on the last site of the run.
-        """
-        k = theta.ndim - 2
-        for m in range(k - 1):
-            l, d = theta.shape[0], theta.shape[1]
-            rest = theta.shape[2:]
-            left, right = self._split_once(theta.reshape(l * d, -1))
-            self._tensors[start + m] = left.reshape(l, d, -1)
-            theta = right.reshape((right.shape[0],) + rest)
-        self._tensors[start + k - 1] = theta
-        self._lo = self._hi = start + k - 1
-
-    def _exact_cap(self, i: int) -> int:
-        """Maximum possible Schmidt rank across the bond right of site ``i``."""
-        left = 1
-        for d in self._dims[: i + 1]:
-            left *= d
-        right = 1
-        for d in self._dims[i + 1:]:
-            right *= d
-        return min(left, right)
-
-    def _truncate_bond(self, i: int) -> None:
-        """Re-compress the bond between sites ``i`` and ``i + 1``."""
-        self._canonicalize(i, i + 1)
-        theta = np.einsum(
-            "ldr,res->ldes", self._tensors[i], self._tensors[i + 1]
-        )
-        self._split_run(i, theta)
-
-    # ------------------------------------------------------------------
-    # gate application
-    # ------------------------------------------------------------------
-    def _apply_site(
-        self,
-        site: int,
-        matrix: np.ndarray,
-        structure: GateStructure,
-        unitary: bool = True,
-    ) -> None:
-        """Contract a one-site operator into the site tensor (never any SVD)."""
-        t = self._tensors[site]
-        if structure.kind == DIAGONAL:
-            t = t * structure.diag[None, :, None]
-        elif structure.kind == PERMUTATION:
-            t = t.take(structure.source, axis=1)
-            if structure.values is not None:
-                t = t * structure.values[None, :, None]
-        else:
-            t = np.einsum("ab,lbr->lar", matrix, t)
-        self._tensors[site] = t
-        if not unitary:
-            self._lo = min(self._lo, site)
-            self._hi = max(self._hi, site)
-
-    def _apply_theta(
-        self, theta: np.ndarray, matrix: np.ndarray, structure: GateStructure
-    ) -> np.ndarray:
-        """Apply an operator to a merged theta's joint physical axis."""
-        shape = theta.shape
-        flat = theta.reshape(shape[0], structure.dim, shape[-1])
-        if structure.kind == DIAGONAL:
-            flat = flat * structure.diag[None, :, None]
-        elif structure.kind == PERMUTATION:
-            flat = flat.take(structure.source, axis=1)
-            if structure.values is not None:
-                flat = flat * structure.values[None, :, None]
-        else:
-            flat = np.einsum("ab,lbr->lar", matrix, flat)
-        return flat.reshape(shape)
-
-    def _merge_theta(self, start: int, k: int) -> np.ndarray:
-        """Merge sites ``start .. start + k - 1`` into one theta tensor."""
-        theta = self._tensors[start]
-        for m in range(1, k):
-            theta = np.tensordot(theta, self._tensors[start + m], axes=(-1, 0))
-        return theta
-
-    def _expand_pair(
-        self, start: int, left: np.ndarray, right: np.ndarray
-    ) -> None:
-        """Bond-expansion application of ``sum_k left[k] (x) right[k]``.
-
-        No state SVD: the shared bond is multiplied by the operator
-        Schmidt rank.  Both sites lose orthogonality, which widens the
-        canonical interval.
-        """
-        a, b = self._tensors[start], self._tensors[start + 1]
-        r_terms = left.shape[0]
-        la, da, ra = a.shape
-        lb, db, rb = b.shape
-        new_a = np.einsum("kab,lbr->lark", left, a).reshape(
-            la, da, ra * r_terms
-        )
-        new_b = np.einsum("kcb,lbr->lkcr", right, b).reshape(
-            lb * r_terms, db, rb
-        )
-        self._tensors[start] = new_a
-        self._tensors[start + 1] = new_b
-        self._lo = min(self._lo, start)
-        self._hi = max(self._hi, start + 1)
-
-    def _apply_run(
-        self, start: int, k: int, matrix: np.ndarray, structure: GateStructure
-    ) -> None:
-        """Apply an operator to ``k`` contiguous sites starting at ``start``."""
-        if k == 1:
-            self._apply_site(start, matrix, structure)
-            return
-        if k == 2 and structure.kind in (DIAGONAL, PERMUTATION):
-            d_left, d_right = self._dims[start], self._dims[start + 1]
-            key = ("op_schmidt", d_left, d_right)
-            factors = structure.plans.get(key)
-            if factors is None:
-                factors = operator_schmidt_factors(
-                    structure.matrix, d_left, d_right
-                )
-                structure.plans[key] = factors
-            left, right = factors
-            bond = self._tensors[start].shape[2]
-            new_bond = bond * left.shape[0]
-            if self.max_bond is None or new_bond <= self.max_bond:
-                self._expand_pair(start, left, right)
-                if new_bond > min(
-                    self.max_bond or new_bond, self._exact_cap(start)
-                ):
-                    self._truncate_bond(start)
-                return
-        self._canonicalize(start, start + k - 1)
-        theta = self._apply_theta(self._merge_theta(start, k), matrix, structure)
-        self._split_run(start, theta)
-
-    def _swap_adjacent(self, i: int) -> None:
-        """Exchange sites ``i`` and ``i + 1`` (theta transpose + SVD split)."""
-        self._canonicalize(i, i + 1)
-        theta = np.einsum(
-            "ldr,res->ldes", self._tensors[i], self._tensors[i + 1]
-        )
-        theta = theta.transpose(0, 2, 1, 3)
-        self._dims[i], self._dims[i + 1] = self._dims[i + 1], self._dims[i]
-        self._split_run(i, theta)
-
-    def _route_and_apply(self, targets, apply_fn) -> None:
-        """Swap distant pair targets adjacent, run ``apply_fn``, swap back.
-
-        ``targets`` must be ascending; ``apply_fn(start)`` is invoked with
-        the pair sitting at ``(start, start + 1)``.
-        """
-        u, v = targets
-        for j in range(v - 1, u, -1):
-            self._swap_adjacent(j)
-        apply_fn(u)
-        for j in range(u + 1, v):
-            self._swap_adjacent(j)
-
-    def apply_unitary(
-        self,
-        matrix: np.ndarray,
-        targets: int | Sequence[int],
-        structure: GateStructure | None = None,
-    ) -> None:
-        """Apply a unitary to the target wires (in place).
-
-        Targets must be a single wire, a contiguous run of wires (any
-        order), or two arbitrary wires (routed via swap insertion).
-
-        Args:
-            matrix: operator in the tensor order of ``targets``.
-            structure: optional precomputed gate structure (the per-
-                instruction cache); classified on the fly when omitted.
-        """
-        if isinstance(targets, (int, np.integer)):
-            targets = (int(targets),)
-        matrix = np.asarray(matrix, dtype=complex)
-        structure, targets = _sorted_gate(matrix, structure, targets, self._dims)
-        for t in targets:
-            if not 0 <= t < self.num_sites:
-                raise SimulationError(f"wire {t} out of range")
-        if _metrics.enabled or _tracing.enabled:
-            _metrics.inc("gate_applies", backend="mps", kind=structure.kind)
-            with _tracing.span("gate_apply", backend="mps", kind=structure.kind):
-                self._dispatch_gate(targets, structure)
-            return
-        self._dispatch_gate(targets, structure)
-
-    def _dispatch_gate(self, targets: tuple[int, ...], structure) -> None:
-        """Route a validated, sorted gate to the contiguous-run kernel."""
-        k = len(targets)
-        first = targets[0]
-        if targets == tuple(range(first, first + k)):
-            self._apply_run(first, k, structure.matrix, structure)
-            return
-        if k != 2:
-            raise SimulationError(
-                f"MPS gates must target one wire, a contiguous run, or two "
-                f"wires; got {targets}"
-            )
-        self._route_and_apply(
-            targets,
-            lambda start: self._apply_run(
-                start, 2, structure.matrix, structure
-            ),
-        )
-
-    # ------------------------------------------------------------------
     # channels / reset (stochastic unravelling, one trajectory)
     # ------------------------------------------------------------------
     def _kraus_weights_local(
-        self, start: int, k: int, ops
-    ) -> tuple[list, np.ndarray]:
+        self, start: int, k: int, ops: Ops
+    ) -> tuple[list[np.ndarray], np.ndarray]:
         """Candidate branches and Born weights on a contiguous run.
 
         With the canonical interval shrunk onto the run, the environment
@@ -636,61 +131,47 @@ class MPSState:
         theta = self._merge_theta(start, k)
         candidates = []
         weights = np.empty(len(ops))
-        for idx, (op, structure) in enumerate(ops):
-            cand = self._apply_theta(theta, op, structure)
+        for idx, (_, structure) in enumerate(ops):
+            cand = self._apply_theta(theta, structure)
             candidates.append(cand)
             weights[idx] = float(np.real(np.vdot(cand, cand)))
         return candidates, weights
 
-    def _apply_channel(self, instruction: Instruction, rng) -> None:
+    def _apply_channel(self, instruction: Instruction, rng: RngLike) -> None:
         """Stochastically apply one Kraus branch with its Born probability."""
-        targets = instruction.qudits
-        structures = instruction.kraus_structures()
-        ops = []
-        for op, st in zip(instruction.kraus, structures):
-            st, sorted_targets = _sorted_gate(op, st, targets, self._dims)
-            ops.append((st.matrix, st))
-        targets = tuple(sorted(int(t) for t in targets))
+        gen = ensure_rng(rng)
+        ops, targets, contiguous = self._channel_ops(instruction)
         k = len(targets)
-        contiguous = targets == tuple(range(targets[0], targets[0] + k))
-        if not contiguous and k != 2:
-            raise SimulationError(
-                f"MPS channels must target one wire, a contiguous run, or "
-                f"two wires; got {targets}"
-            )
         grams = [_gram_diag(op, st) for op, st in ops]
-        constant = all(
-            g is not None and np.ptp(g) <= 1e-12 * (np.abs(g).max() + 1e-30)
+        uniform = [
+            g
             for g in grams
-        )
-        if constant:
+            if g is not None and np.ptp(g) <= 1e-12 * (np.abs(g).max() + 1e-30)
+        ]
+        if len(uniform) == len(grams):
             # K†K ∝ I for every branch: weights are state-independent.
-            weights = np.array([g[0] for g in grams])
-            choice = int(rng.choice(len(ops), p=weights / weights.sum()))
-            op, st = ops[choice]
+            weights = np.array([g[0] for g in uniform])
+            choice = int(gen.choice(len(ops), p=weights / weights.sum()))
+            _, st = ops[choice]
             if contiguous:
                 if k == 1:
-                    self._apply_site(targets[0], op, st, unitary=False)
+                    self._apply_site(targets[0], st, unitary=False)
                 else:
-                    self._apply_run(targets[0], k, op, st)
+                    self._apply_run(targets[0], k, st)
                     self._lo = min(self._lo, targets[0])
             else:
                 self._route_and_apply(
-                    targets, lambda start: self._apply_run(start, 2, op, st)
+                    targets, lambda start: self._apply_run(start, 2, st)
                 )
             self._renormalize()
             return
 
         def _choose(start: int, run: int) -> None:
-            candidates, weights = self._kraus_weights_local(
-                start, run, ops
-            )
+            candidates, weights = self._kraus_weights_local(start, run, ops)
             total = weights.sum()
             if total <= 0:
-                raise SimulationError(
-                    "all Kraus branches annihilated the state"
-                )
-            choice = int(rng.choice(len(ops), p=weights / total))
+                raise SimulationError("all Kraus branches annihilated the state")
+            choice = int(gen.choice(len(ops), p=weights / total))
             theta = candidates[choice] / np.sqrt(weights[choice])
             if run == 1:
                 self._tensors[start] = theta
@@ -704,8 +185,9 @@ class MPSState:
         else:
             self._route_and_apply(targets, lambda start: _choose(start, 2))
 
-    def _reset_site(self, site: int, rng) -> None:
+    def _reset_site(self, site: int, rng: RngLike) -> None:
         """Projectively measure one wire and re-prepare it in |0>."""
+        rng = ensure_rng(rng)
         self._canonicalize(site, site)
         t = self._tensors[site]
         probs = np.real(np.einsum("lsr,lsr->s", t.conj(), t))
@@ -720,34 +202,7 @@ class MPSState:
     # ------------------------------------------------------------------
     # circuit evolution
     # ------------------------------------------------------------------
-    def apply_instruction(self, instruction: Instruction, rng=None) -> None:
-        """Apply one circuit instruction in place.
-
-        Args:
-            instruction: unitary / channel / measure / reset instruction.
-            rng: resolved generator for stochastic instructions (required
-                for channels and resets).
-        """
-        if instruction.kind == "unitary":
-            self.apply_unitary(
-                instruction.matrix,
-                instruction.qudits,
-                structure=instruction.structure(),
-            )
-        elif instruction.kind == "channel":
-            self._apply_channel(instruction, ensure_rng(rng))
-        elif instruction.kind == "measure":
-            pass  # terminal measurement is implicit in sampling
-        elif instruction.kind == "reset":
-            self._reset_site(instruction.qudits[0], ensure_rng(rng))
-        else:  # pragma: no cover - kinds validated at circuit build time
-            raise SimulationError(f"unknown kind {instruction.kind}")
-
-    def evolve(
-        self,
-        circuit: QuditCircuit,
-        rng: np.random.Generator | int | None = None,
-    ) -> "MPSState":
+    def evolve(self, circuit: QuditCircuit, rng: RngLike = None) -> "MPSState":
         """Run a circuit and return the evolved state (self is unchanged).
 
         Channel instructions are unravelled stochastically — this is *one*
@@ -760,102 +215,20 @@ class MPSState:
                 resolved once for the whole run (``None`` uses the shared
                 global generator from :mod:`repro.core.rng`).
         """
-        if circuit.dims != self.dims:
-            raise DimensionError(
-                f"circuit dims {circuit.dims} != state dims {self.dims}"
-            )
-        out = self.copy()
         gen = None
         if any(ins.kind in ("channel", "reset") for ins in circuit):
             gen = ensure_rng(rng)
-        for instruction in circuit:
-            out.apply_instruction(instruction, rng=gen)
-        return out
+        return self._run(circuit, gen)
 
     # ------------------------------------------------------------------
     # observables
     # ------------------------------------------------------------------
-    def expectation(
-        self, operator: np.ndarray, targets: int | Sequence[int] | None = None
-    ) -> complex:
-        """``<psi|O|psi>`` of a local operator (normalised by ``<psi|psi>``).
-
-        Supports one wire, a contiguous run of wires, and two arbitrary
-        wires (contracted through the intervening transfer matrices via the
-        operator-Schmidt decomposition — no swaps, no truncation).
-        """
-        if targets is None:
-            targets = tuple(range(self.num_sites))
-        if isinstance(targets, (int, np.integer)):
-            targets = (int(targets),)
-        operator = np.asarray(operator, dtype=complex)
-        structure, targets = _sorted_gate(
-            operator, _classify_observable(operator), targets, self._dims
-        )
-        operator = structure.matrix
-        k = len(targets)
-        first = targets[0]
-        if targets == tuple(range(first, first + k)):
-            expected = 1
-            for t in targets:
-                expected *= self._dims[t]
-            if operator.shape != (expected, expected):
-                raise DimensionError(
-                    f"operator shape {operator.shape} does not span wires "
-                    f"{targets} (dimension {expected})"
-                )
-            self._canonicalize(first, first + k - 1)
-            theta = self._merge_theta(first, k)
-            transformed = self._apply_theta(theta, operator, structure)
-            value = complex(np.vdot(theta, transformed))
-            denom = float(np.real(np.vdot(theta, theta)))
-            return value / denom
-        if k != 2:
-            raise SimulationError(
-                f"MPS expectation targets must be one wire, a contiguous "
-                f"run, or two wires; got {targets}"
-            )
-        u, v = targets
-        key = ("op_schmidt", self._dims[u], self._dims[v])
-        factors = structure.plans.get(key)
-        if factors is None:
-            factors = operator_schmidt_factors(
-                operator, self._dims[u], self._dims[v]
-            )
-            structure.plans[key] = factors
-        left, right = factors
-        self._canonicalize(u, v)
-        a_u = self._tensors[u]
-        # One environment per operator-Schmidt term, carried through the
-        # transfer matrices of the intervening sites.
-        envs = np.einsum("xdr,kdc,xcs->krs", a_u.conj(), left, a_u)
-        norm_env = np.einsum("xdr,xds->rs", a_u.conj(), a_u)
-        for m in range(u + 1, v):
-            t = self._tensors[m]
-            envs = np.einsum("kxy,xdr,yds->krs", envs, t.conj(), t, optimize=True)
-            norm_env = np.einsum(
-                "xy,xdr,yds->rs", norm_env, t.conj(), t, optimize=True
-            )
-        a_v = self._tensors[v]
-        value = complex(
-            np.einsum(
-                "kxy,xdr,kdc,ycr->", envs, a_v.conj(), right, a_v, optimize=True
-            )
-        )
-        denom = float(
-            np.real(np.einsum("xy,xdr,ydr->", norm_env, a_v.conj(), a_v))
-        )
-        return value / denom
-
     def amplitude(self, digits: Sequence[int]) -> complex:
         """Amplitude ``<digits|psi>`` in ``O(n chi^2)``."""
-        if len(digits) != self.num_sites:
-            raise DimensionError(
-                f"{len(digits)} digits for a {self.num_sites}-site register"
-            )
-        vec = self._tensors[0][:, int(digits[0]), :]
+        digits = _check_digits(self._dims, digits)
+        vec = self._tensors[0][:, digits[0], :]
         for i in range(1, self.num_sites):
-            vec = vec @ self._tensors[i][:, int(digits[i]), :]
+            vec = vec @ self._tensors[i][:, digits[i], :]
         return complex(vec[0, 0])
 
     def probability_of(self, digits: Sequence[int]) -> float:
@@ -904,18 +277,14 @@ class MPSState:
             SimulationError: if the register dimension exceeds ~4M
                 amplitudes — at that point the MPS *is* the representation.
         """
-        if self.dim > _DENSE_CAP:
-            raise SimulationError(
-                f"register dimension {self.dim} too large to densify"
-            )
+        if self.dim > DENSE_CAP:
+            raise SimulationError(f"register dimension {self.dim} too large to densify")
         from .statevector import Statevector  # local import avoids a cycle
 
         vec = self._tensors[0].reshape(self._dims[0], -1)
         for i in range(1, self.num_sites):
             t = self._tensors[i]
-            vec = (vec @ t.reshape(t.shape[0], -1)).reshape(
-                -1, t.shape[2]
-            )
+            vec = (vec @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
         return Statevector(vec.reshape(-1), self.dims)
 
     def probabilities(self) -> np.ndarray:

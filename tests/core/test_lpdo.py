@@ -303,6 +303,20 @@ class TestConstructorsAndErrors:
         qc = QuditCircuit([3, 3])
         with pytest.raises(DimensionError):
             LPDOState.zero([3, 4]).evolve(qc)
+        # Negative and out-of-range digits or wires never wrap around.
+        lpdo = LPDOState.zero([3, 3])
+        with pytest.raises(DimensionError):
+            lpdo.probabilities_of([-3, 0])
+        with pytest.raises(DimensionError):
+            lpdo.probabilities_of([0, 3])
+        with pytest.raises(SimulationError):
+            lpdo.expectation(np.diag([1.0, -1.0, 0.0]), (-1,))
+        with pytest.raises(SimulationError):
+            lpdo.apply_unitary(np.eye(9), (2, 0))
+        with pytest.raises(SimulationError):
+            lpdo.apply_unitary(np.eye(9), (1, 1))
+        with pytest.raises(DimensionError):
+            lpdo.expectation(np.eye(3), (0, 1))
 
     def test_three_wire_noncontiguous_gate_rejected(self):
         dims = (2, 2, 2, 2, 2)

@@ -344,6 +344,23 @@ class TestConstructorsAndErrors:
         qc = QuditCircuit([3, 3])
         with pytest.raises(DimensionError):
             MPSState.zero([3, 4]).evolve(qc)
+        # Negative and out-of-range digits or wires never wrap around.
+        mps = MPSState.zero([3, 3, 3])
+        z = np.diag([1.0, -1.0, 0.0])
+        with pytest.raises(SimulationError):
+            mps.expectation(z, (-1,))
+        with pytest.raises(SimulationError):
+            mps.expectation(z, (3,))
+        with pytest.raises(SimulationError):
+            mps.apply_unitary(np.eye(9), (3, 0))
+        with pytest.raises(SimulationError):
+            mps.apply_unitary(np.eye(9), (1, 1))
+        with pytest.raises(DimensionError):
+            mps.expectation(np.eye(3), (0, 2))
+        with pytest.raises(DimensionError):
+            mps.amplitude((0, 0, 3))
+        with pytest.raises(DimensionError):
+            mps.probability_of((0, -1, 0))
 
     def test_three_wire_noncontiguous_gate_rejected(self):
         dims = (2, 2, 2, 2, 2)

@@ -122,3 +122,43 @@ class TestSharedAcrossBackends:
             np.testing.assert_allclose(
                 t_mps, t_lpdo[:, :, 0, :], atol=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "wires, kind, max_bond",
+        [
+            ((1, 2), "diagonal", None),  # operator-Schmidt bond expansion
+            ((0, 1, 2), "dense", None),  # merged three-site theta
+            ((3, 0), "dense", None),  # distant pair: swap routing
+            ((0, 3), "diagonal", 2),  # routing and expansion under a cap
+        ],
+    )
+    def test_pure_lpdo_evolves_like_its_mps(self, wires, kind, max_bond):
+        """One unitary path: a pure LPDO tracks its MPS tensor-for-tensor."""
+        from repro.core import QuditCircuit
+        from repro.core.lpdo import LPDOState
+        from repro.core.mps import MPSState
+        from repro.core.random_ops import haar_unitary
+
+        rng = np.random.default_rng(6)
+        dims = (3, 2, 2, 3)
+        prep = QuditCircuit(dims)
+        for i in range(len(dims)):
+            prep.fourier(i)
+        prep.controlled_phase(1, 2, 0.7)
+        mps = MPSState.zero(dims, max_bond=max_bond).evolve(prep)
+        lpdo = LPDOState.from_mps(mps)
+        size = int(np.prod([dims[w] for w in wires]))
+        if kind == "diagonal":
+            matrix = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size)))
+        else:
+            matrix = haar_unitary(size, rng)
+        qc = QuditCircuit(dims)
+        qc.unitary(matrix, wires, name=kind)
+        mps, lpdo = mps.evolve(qc), lpdo.evolve(qc)
+        assert lpdo.bond_dimensions() == mps.bond_dimensions()
+        assert lpdo.kraus_dimensions() == (1,) * len(dims)
+        assert lpdo.truncation_error == mps.truncation_error
+        for i in range(len(dims)):
+            np.testing.assert_allclose(
+                lpdo.site_tensor(i)[:, :, 0, :], mps.site_tensor(i), atol=1e-12
+            )

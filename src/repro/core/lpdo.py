@@ -227,13 +227,26 @@ class LPDOState(TensorTrainState):
         right site's Kraus leg by the Kraus count ``M``) and no merged
         theta carrying all ``M`` branches is ever materialised.  Large
         families (a joint depolarising channel has ``(d_l d_r)^2``
-        operators) are accumulated onto the leg in chunks with interim
-        recompressions, so the peak leg size — and with it the Gram-matrix
-        cost — stays bounded instead of scaling with ``M``.  Both grown
-        legs are recompressed at the end with the site at the
-        orthogonality centre, so the recorded ``purification_error`` /
-        ``truncation_error`` fractions are exact trace weights (interim
-        chunk compressions account in the local frame).
+        operators) are accumulated onto the leg in chunks: whenever the
+        accumulated leg exceeds ``limit`` and chunks remain, it is
+        truncated to ``limit`` columns, so the peak leg size — and with it
+        the Gram-matrix cost — stays bounded instead of scaling with ``M``.
+        These interim truncations are lossy: they run off the
+        orthogonality centre and rescale the kept columns by the local
+        ``sqrt(total / kept)`` before later chunks are appended.
+
+        Every chunk's ``(chi_l, chi_r)`` fibres lie in the span ``W`` of
+        the right site's ``B[:, b, k, :]`` slices, of dimension at most
+        ``d_right * kappa``.  When that is smaller than ``chi_l * chi_r``,
+        one QR of ``B``'s ``(chi_l chi_r, d_right kappa)`` unfolding gives
+        an orthonormal basis of ``W``; the chunks are built from the
+        triangular factor and the accumulated leg is mapped back through
+        the basis once at the end.  The basis is an isometry, so in exact
+        arithmetic every Gram matrix, kept column and rescale factor is the
+        one the full tensors would give, at a fraction of the rows.  Both
+        grown legs are then recompressed with the site at the orthogonality
+        centre, so those final ``purification_error`` /
+        ``truncation_error`` fractions are exact trace weights.
         """
         d_left, d_right = self._dims[start], self._dims[start + 1]
         count = len(ops)
@@ -255,6 +268,14 @@ class LPDOState(TensorTrainState):
         lb, _, kb, rb = b.shape
         rank = left.shape[0]
         new_a = np.einsum("qab,lbkr->lakrq", left, a).reshape(la, d_left, ka, ra * rank)
+        basis: np.ndarray | None = None
+        if lb * rb > d_right * kb:
+            # Reduced basis of the right site (see the docstring).
+            basis, tri = np.linalg.qr(
+                b.transpose(0, 3, 1, 2).reshape(lb * rb, d_right * kb)
+            )
+            b = tri.reshape(-1, d_right, kb, 1)
+        rows, cols = b.shape[0], b.shape[3]
         cap = self.max_kraus
         limit = 64 if cap is None else max(4 * cap, 32)
         step = max(1, limit // max(kb, 1))
@@ -262,11 +283,18 @@ class LPDOState(TensorTrainState):
         for first_op in range(0, count, step):
             block = right[:, :, :, first_op : first_op + step]
             piece = np.einsum("qcbm,lbkr->lqckmr", block, b, optimize=True).reshape(
-                lb * rank, d_right, kb * block.shape[3], rb
+                rows * rank, d_right, kb * block.shape[3], cols
             )
             acc = piece if acc is None else np.concatenate((acc, piece), axis=2)
             if acc.shape[2] > limit and first_op + step < count:
                 acc = self._compress_kraus_leg(acc, None if cap is None else limit)
+        if basis is not None:
+            acc = np.einsum(
+                "lrj,jqck->lqckr",
+                basis.reshape(lb, rb, rows),
+                acc.reshape(rows, rank, d_right, -1),
+                optimize=True,
+            ).reshape(lb * rank, d_right, -1, rb)
         self._tensors[start] = new_a
         self._tensors[start + 1] = acc
         self._lo = min(self._lo, start)

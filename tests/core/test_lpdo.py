@@ -113,6 +113,25 @@ class TestFullRankMatchesDense:
             lpdo.to_density_matrix().matrix, dense.matrix, atol=1e-8
         )
 
+    def test_two_site_channel_in_reduced_right_basis(self):
+        """A joint channel on a wide right site (chi_l chi_r > d kappa)
+        accumulates its Kraus chunks in the span of that site's slices;
+        the result must still be the exact channel."""
+        dims = (3,) * 5
+        sv = Statevector(random_statevector(3**5, np.random.default_rng(4)), dims)
+        prep = QuditCircuit(dims)
+        prep.channel(dephasing(3, 0.4).kraus, 3, name="deph")
+        noisy = QuditCircuit(dims)
+        noisy.channel(depolarizing(9, 0.35).kraus, (2, 3), name="depol2")
+        lpdo = LPDOState.from_statevector(sv).evolve(prep)
+        chi_l, chi_r = lpdo.bond_dimensions()[2:4]
+        assert chi_l * chi_r > dims[3] * lpdo.kraus_dimensions()[3]
+        lpdo = lpdo.evolve(noisy)
+        dense = DensityMatrix.from_statevector(sv).evolve(prep).evolve(noisy)
+        np.testing.assert_allclose(
+            lpdo.to_density_matrix().matrix, dense.matrix, atol=1e-10
+        )
+
     def test_noiseless_circuit_stays_pure(self):
         dims = (3, 3)
         qc = QuditCircuit(dims)
@@ -361,3 +380,45 @@ class TestScale:
         assert sum(counts.values()) == 5
         value = lpdo.expectation(np.diag([0.0, 1.0, 2.0]), 6)
         assert 0.0 <= float(np.real(value)) <= 2.0
+
+
+class TestCappedKrausPair:
+    """Capped two-site channels: chunked Kraus accumulation with lossy
+    interim truncations, as the sQED damage study drives it."""
+
+    def test_six_site_damage_pinned(self):
+        from repro.sqed.noise_study import damage_task
+
+        damage = damage_task(
+            0.03,
+            method="lpdo",
+            n_sites=6,
+            spin=1,
+            encoding="qudit",
+            max_bond=16,
+            max_kraus=8,
+            t_total=1.0,
+            n_steps=2,
+        )
+        assert abs(damage - 0.05521435029) < 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "interim Kraus-chunk truncations rescale by a local-frame "
+            "total/kept before un-rescaled chunks are appended, re-weighting "
+            "the Kraus branches; see the ROADMAP open item 'Interim "
+            "Kraus-chunk rescale breaks the trace'"
+        ),
+    )
+    def test_noisy_trotter_steps_preserve_trace(self):
+        from repro.sqed.encodings import QuditEncoding, insert_depolarizing_noise
+        from repro.sqed.rotor import RotorChain
+
+        enc = QuditEncoding(RotorChain(n_sites=6, spin=1, hopping=0.3))
+        step = insert_depolarizing_noise(enc.trotter_step(0.5), enc, 0.03)
+        digits = enc.product_state_digits([1, 0, 0, 0, 0, 0])
+        lpdo = LPDOState.basis(enc.dims, digits, max_bond=16, max_kraus=8)
+        for _ in range(2):
+            lpdo = lpdo.evolve(step)
+        assert abs(lpdo.trace() - 1.0) < 1e-9

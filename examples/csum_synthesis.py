@@ -56,7 +56,7 @@ def snap_displacement() -> None:
             f"  d={d}: infidelity {result.infidelity:.2e} with "
             f"{result.sequence.n_layers} SNAP layers"
         )
-    print("(d up to 8, >99% fidelity: benchmarks/bench_synthesis.py)")
+    print("(d up to 8, >99% fidelity: tests/test_paper_claims.py)")
 
 
 def constructive_routes() -> None:

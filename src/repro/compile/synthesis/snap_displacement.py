@@ -9,11 +9,14 @@ Reproduces the numerical gate-synthesis pipeline of Ozguler & Venturelli
 acting on a Fock space truncated above the target dimension (guard levels
 absorb transient population).  Parameters are optimised with BFGS from a
 handful of random starts; the figure of merit is the projective gate
-fidelity on the computational subspace.
+fidelity on the computational subspace.  Displacements are built in closed
+form (:func:`repro.core.gates.displacement`) and BFGS gets the exact
+gradient from one forward and one backward sweep over the sequence, in the
+manner of GRAPE (Khaneja et al., J. Magn. Reson. 172, 296 (2005); Fösel et
+al., arXiv:2004.14256).
 
 The paper's claim C2 — >99% fidelity for single-qudit rotations up to
-d = 8 — is reproduced by ``benchmarks/bench_synthesis.py`` using this
-module.
+d = 8 — is asserted at that size by ``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ...core.exceptions import SynthesisError
-from ...core.gates import displacement, snap
+from ...core.gates import displacement, displacement_eigenbasis
 
 __all__ = [
     "SnapDisplacementSequence",
@@ -35,9 +38,7 @@ __all__ = [
 ]
 
 
-def subspace_fidelity(
-    achieved: np.ndarray, target: np.ndarray, d_target: int
-) -> float:
+def subspace_fidelity(achieved: np.ndarray, target: np.ndarray, d_target: int) -> float:
     """Projective gate fidelity on the first ``d_target`` levels.
 
     ``F = |Tr(P U_t† V P)|^2 / d^2`` where ``P`` projects onto the
@@ -72,11 +73,8 @@ class SnapDisplacementSequence:
 
     def matrix(self) -> np.ndarray:
         """Dense ``d_sim x d_sim`` operator of the full sequence."""
-        out = displacement(self.d_sim, self.alphas[0])
-        for layer, phases in enumerate(self.snap_phases):
-            out = snap(self.d_sim, phases) @ out
-            out = displacement(self.d_sim, self.alphas[layer + 1]) @ out
-        return out
+        phases = np.array(self.snap_phases, dtype=float).reshape(-1, self.d_sim)
+        return _forward(self.d_sim, np.array(self.alphas), phases)[2][-1]
 
     def gate_counts(self) -> dict[str, int]:
         """Native gate counts of the sequence."""
@@ -95,7 +93,9 @@ class SynthesisResult:
 
     def achieved_unitary(self) -> np.ndarray:
         """The synthesised operator restricted to the computational block."""
-        return self.sequence.matrix()[: self.sequence.d_target, : self.sequence.d_target]
+        return self.sequence.matrix()[
+            : self.sequence.d_target, : self.sequence.d_target
+        ]
 
 
 def default_layer_count(d_target: int) -> int:
@@ -122,6 +122,91 @@ def _unpack(
     return alphas, phases
 
 
+def _forward(
+    d_sim: int, alphas: np.ndarray, phases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The sequence's factors and the running product after each one.
+
+    With factors ``F = (D_0, S_1, D_1, ..., S_L, D_L)`` this returns the
+    displacement stack ``(L + 1, d_sim, d_sim)``, the SNAP diagonals
+    ``(L, d_sim)`` and ``products[k] = F_k ... F_0``; the last product is
+    the sequence's operator.
+    """
+    disps = displacement(d_sim, alphas)
+    snaps = np.exp(1j * phases)
+    products = [disps[0]]
+    for layer in range(len(snaps)):
+        products.append(snaps[layer][:, None] * products[-1])
+        products.append(disps[layer + 1] @ products[-1])
+    return disps, snaps, products
+
+
+def _infidelity_and_gradient(
+    params: np.ndarray, target: np.ndarray, n_layers: int, d_sim: int
+) -> tuple[float, np.ndarray]:
+    """``1 - F`` of the packed parameters and its exact gradient.
+
+    With ``g = Tr(U_t† P V P)`` and ``F = |g|^2 / d^2``, the derivative of
+    ``g`` in factor ``F_k`` is ``Tr(dF_k G_k)`` for the environment
+    ``G_k = (F_{k-1} ... F_0) P U_t† P (F_2L ... F_{k+1})``, taken from the
+    forward products and one backward sweep.  A SNAP phase gives
+    ``dg/dtheta_n = i e^{i theta_n} G[n, n]``.  A displacement
+    ``D = W e^{-i r lam} W†``, ``W = R(phi) V``, gives
+    ``dD/dr = W (-i lam e^{-i r lam}) W†`` and
+    ``dD/dphi = i(N D - D N) = r i W (M o Q) W†`` with ``M = V† N V`` and
+    ``Q_jk = (e^{-i r lam_k} - e^{-i r lam_j}) / r``, evaluated without
+    cancellation.  The chain rule to ``(Re alpha, Im alpha)`` divides
+    ``dD/dphi`` by ``r``, so ``r = 0`` needs no special case: it yields the
+    limits ``dD/dRe(alpha) = a† - a`` and ``dD/dIm(alpha) = i(a† + a)``.
+    """
+    d = target.shape[0]
+    alphas, phases = _unpack(params, n_layers, d_sim)
+    disps, snaps, products = _forward(d_sim, alphas, phases)
+    infidelity = 1.0 - subspace_fidelity(products[-1], target, d)
+    overlap = np.vdot(target, products[-1][:d, :d])
+
+    # G_k = before[k] @ after[k]: before[k] = (F_{k-1} ... F_0) P and, from
+    # one backward sweep, after[k] = U_t† (F_2L ... F_{k+1})[:d, :]
+    before = np.array([np.eye(d_sim), *products[:-1]])[:, :, :d]
+    env = np.zeros((d, d_sim), dtype=complex)
+    env[:, :d] = target.conj().T
+    backward = [env]
+    for layer in range(n_layers, 0, -1):
+        backward.append(backward[-1] @ disps[layer])
+        backward.append(backward[-1] * snaps[layer - 1])
+    after = np.array(backward[::-1])
+
+    # SNAP layers (odd k): the diagonal of each environment
+    d_theta = 1j * snaps * np.einsum("lnj,ljn->ln", before[1::2], after[1::2])
+
+    # displacements (even k), in the rotated eigenbasis W of each generator
+    lam, vecs = displacement_eigenbasis(d_sim)
+    levels = np.arange(d_sim)
+    radius, angle = np.abs(alphas), np.angle(alphas)
+    bases = np.exp(1j * angle[:, None] * levels)[:, :, None] * vecs
+    left = bases.conj().swapaxes(1, 2) @ before[0::2]
+    rotated = left @ (after[0::2] @ bases)  # W† G W per displacement
+    half = np.exp(-0.5j * radius[:, None] * lam)  # e^{-i r lam / 2}
+    d_radius = np.einsum("lj,ljj->l", -1j * lam * half**2, rotated)
+    gap = lam[None, :] - lam[:, None]
+    quotient = (
+        -1j
+        * gap
+        * np.sinc(radius[:, None, None] * gap / (2 * np.pi))
+        * (half[:, :, None] * half[:, None, :])
+    )
+    number = (vecs.conj().T * levels) @ vecs
+    # (dg/dphi) / r
+    d_angle = 1j * (number * quotient * rotated.swapaxes(1, 2)).sum(axis=(1, 2))
+    cos, sin = np.cos(angle), np.sin(angle)
+    d_re = cos * d_radius - sin * d_angle
+    d_im = sin * d_radius + cos * d_angle
+
+    # chain to 1 - |g|^2 / d^2, in the (Re, Im, phases) layout of _pack
+    d_overlap = np.concatenate([d_re, d_im, d_theta.ravel()])
+    return infidelity, -2.0 / d**2 * (np.conj(overlap) * d_overlap).real
+
+
 def synthesize_unitary(
     target: np.ndarray,
     n_layers: int | None = None,
@@ -138,7 +223,8 @@ def synthesize_unitary(
         n_layers: SNAP layers (default ``d + 1``).
         guard_levels: extra Fock levels in the simulation space.
         max_restarts: random restarts before giving up.
-        tol_infidelity: stop once ``1 - F`` drops below this.
+        tol_infidelity: skip the remaining restarts once the best ``1 - F``
+            is below this; it never cuts a BFGS run short.
         maxiter: BFGS iteration cap per restart.
         seed: RNG seed.
 
@@ -147,32 +233,39 @@ def synthesize_unitary(
         tolerance was not met — callers check ``result.infidelity``).
 
     Raises:
-        SynthesisError: if the target is not square or too small.
+        SynthesisError: if the target is not a square matrix with
+            ``d >= 2``, or ``n_layers``, ``guard_levels`` or
+            ``max_restarts`` is out of range.
     """
     target = np.asarray(target, dtype=complex)
-    d_target = target.shape[0]
-    if target.ndim != 2 or target.shape != (d_target, d_target) or d_target < 2:
+    if target.ndim != 2 or target.shape[0] != target.shape[1] or len(target) < 2:
         raise SynthesisError("target must be a square matrix with d >= 2")
+    d_target = target.shape[0]
     n_layers = n_layers or default_layer_count(d_target)
+    if n_layers < 1:
+        raise SynthesisError(f"n_layers must be >= 1, got {n_layers}")
+    if guard_levels < 0:
+        raise SynthesisError(f"guard_levels must be >= 0, got {guard_levels}")
+    if max_restarts < 1:
+        raise SynthesisError(f"max_restarts must be >= 1, got {max_restarts}")
     d_sim = d_target + int(guard_levels)
     rng = np.random.default_rng(seed)
 
-    def cost(params: np.ndarray) -> float:
-        alphas, phases = _unpack(params, n_layers, d_sim)
-        out = displacement(d_sim, complex(alphas[0]))
-        for layer in range(n_layers):
-            out = snap(d_sim, phases[layer]) @ out
-            out = displacement(d_sim, complex(alphas[layer + 1])) @ out
-        return 1.0 - subspace_fidelity(out, target, d_target)
-
-    best: SynthesisResult | None = None
+    results: list[SynthesisResult] = []
     for restart in range(max_restarts):
         alphas0 = 0.5 * (
             rng.normal(size=n_layers + 1) + 1j * rng.normal(size=n_layers + 1)
         )
         phases0 = rng.uniform(-np.pi, np.pi, size=(n_layers, d_sim))
         x0 = _pack(alphas0, phases0)
-        res = minimize(cost, x0, method="BFGS", options={"maxiter": maxiter})
+        res = minimize(
+            _infidelity_and_gradient,
+            x0,
+            args=(target, n_layers, d_sim),
+            method="BFGS",
+            jac=True,
+            options={"maxiter": maxiter},
+        )
         infid = float(res.fun)
         alphas, phases = _unpack(res.x, n_layers, d_sim)
         sequence = SnapDisplacementSequence(
@@ -181,16 +274,15 @@ def synthesize_unitary(
             alphas=tuple(complex(a) for a in alphas),
             snap_phases=tuple(tuple(float(p) for p in row) for row in phases),
         )
-        candidate = SynthesisResult(
-            sequence=sequence,
-            fidelity=1.0 - infid,
-            infidelity=infid,
-            n_iterations=int(res.nit),
-            n_restarts_used=restart + 1,
+        results.append(
+            SynthesisResult(
+                sequence=sequence,
+                fidelity=1.0 - infid,
+                infidelity=infid,
+                n_iterations=int(res.nit),
+                n_restarts_used=restart + 1,
+            )
         )
-        if best is None or candidate.infidelity < best.infidelity:
-            best = candidate
-        if best.infidelity < tol_infidelity:
+        if infid < tol_infidelity:
             break
-    assert best is not None  # max_restarts >= 1
-    return best
+    return min(results, key=lambda result: result.infidelity)

@@ -3,9 +3,10 @@
 Every function returns a dense complex ``numpy`` matrix.  Single-qudit gates
 act on a ``d``-dimensional space; two-qudit gates on ``d1 * d2``.  Bosonic
 gates (displacement, beam splitter, Kerr) are built from truncated ladder
-operators — truncation to ``d`` Fock levels makes them *approximately*
-unitary, with error controlled by the population near the truncation edge,
-which is exactly the regime the paper's cavity qudits operate in.
+operators.  They stay exactly unitary, but truncation to ``d`` Fock levels
+changes their matrix elements near the cutoff, with an error controlled by
+the population near the truncation edge — exactly the regime the paper's
+cavity qudits operate in.
 
 Conventions:
 
@@ -20,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -42,6 +44,7 @@ __all__ = [
     "position_quadrature",
     "momentum_quadrature",
     "displacement",
+    "displacement_eigenbasis",
     "kerr",
     "beamsplitter",
     "cross_kerr",
@@ -190,15 +193,41 @@ def momentum_quadrature(d: int) -> np.ndarray:
     return -1j * (a - a.conj().T) / np.sqrt(2.0)
 
 
-def displacement(d: int, alpha: complex) -> np.ndarray:
-    """Truncated displacement ``D(alpha) = exp(alpha a† - alpha* a)``.
+@lru_cache(maxsize=64)
+def displacement_eigenbasis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(lam, V)`` of ``H = i(a† - a) = V diag(lam) V†``.
 
-    Exactly unitary only as ``d -> inf``; for ``|alpha|^2 << d`` the
-    truncation error is negligible, mirroring the physical requirement that
-    cavity states stay well below the qudit cutoff.
+    ``H`` is the Hermitian generator of real displacements,
+    ``D(r) = exp(-i r H)``.  Cached per ``d``; the arrays are read-only so
+    no caller can change the cache.
     """
     a = annihilation(d)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    lam, vecs = np.linalg.eigh(1j * (a.conj().T - a))
+    lam.flags.writeable = False
+    vecs.flags.writeable = False
+    return lam, vecs
+
+
+def displacement(d: int, alpha: complex | np.ndarray) -> np.ndarray:
+    """Truncated displacement ``D(alpha) = exp(alpha a† - alpha* a)``.
+
+    Closed form: with ``alpha = r e^{i phi}`` and ``R(phi) = diag(e^{i phi n})``,
+    ``D(alpha) = R(phi) V e^{-i r lam} V† R(phi)†`` where ``V, lam`` diagonalise
+    ``i(a† - a)`` (:func:`displacement_eigenbasis`).  The truncated generator
+    is anti-Hermitian, so the operator is exactly unitary; truncation changes
+    its matrix elements near the Fock cutoff relative to the true ``D(alpha)``,
+    negligibly while ``|alpha|^2 << d`` — the physical requirement that cavity
+    states stay well below the qudit cutoff.
+
+    ``alpha`` may be an array of amplitudes; the result then stacks one
+    ``d x d`` matrix per amplitude along the leading axes.
+    """
+    lam, vecs = displacement_eigenbasis(d)
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
+    levels = np.arange(vecs.shape[0])
+    rotated = np.exp(1j * np.angle(alpha) * levels)[..., None] * vecs
+    spectrum = np.exp(-1j * np.abs(alpha) * lam)[..., None, :]
+    return (rotated * spectrum) @ rotated.conj().swapaxes(-1, -2)
 
 
 def kerr(d: int, chi_t: float) -> np.ndarray:

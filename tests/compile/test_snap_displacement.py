@@ -5,12 +5,27 @@ import pytest
 
 from repro.compile.synthesis.snap_displacement import (
     SnapDisplacementSequence,
+    _forward,
+    _infidelity_and_gradient,
+    _pack,
+    _unpack,
     default_layer_count,
     subspace_fidelity,
     synthesize_unitary,
 )
 from repro.core.exceptions import SynthesisError
-from repro.core.gates import fourier, qudit_mixer
+from repro.core.gates import (
+    displacement,
+    fourier,
+    qudit_complete_mixer,
+    qudit_mixer,
+    snap,
+)
+
+
+def _random_params(rng, n_layers, d_sim):
+    alphas = 0.5 * (rng.normal(size=n_layers + 1) + 1j * rng.normal(size=n_layers + 1))
+    return _pack(alphas, rng.uniform(-np.pi, np.pi, size=(n_layers, d_sim)))
 
 
 class TestSubspaceFidelity:
@@ -60,6 +75,71 @@ class TestSequence:
         )
         np.testing.assert_allclose(seq.matrix(), np.eye(4), atol=1e-12)
 
+    def test_matrix_is_the_objective_forward_product(self):
+        """matrix() replays the exact operator the objective scored."""
+        rng = np.random.default_rng(7)
+        n_layers, d_sim, target = 4, 7, qudit_complete_mixer(3, 0.7)
+        params = _random_params(rng, n_layers, d_sim)
+        alphas, phases = _unpack(params, n_layers, d_sim)
+        seq = SnapDisplacementSequence(
+            d_sim=d_sim,
+            d_target=3,
+            alphas=tuple(complex(a) for a in alphas),
+            snap_phases=tuple(tuple(float(p) for p in row) for row in phases),
+        )
+        np.testing.assert_allclose(
+            seq.matrix(), _forward(d_sim, alphas, phases)[2][-1], rtol=0, atol=1e-14
+        )
+        infidelity, _ = _infidelity_and_gradient(params, target, n_layers, d_sim)
+        replayed = 1.0 - subspace_fidelity(seq.matrix(), target, 3)
+        assert abs(replayed - infidelity) < 1e-14
+
+    def test_matrix_matches_gate_product(self):
+        rng = np.random.default_rng(8)
+        params = _random_params(rng, 3, 6)
+        alphas, phases = _unpack(params, 3, 6)
+        seq = SnapDisplacementSequence(
+            d_sim=6,
+            d_target=2,
+            alphas=tuple(complex(a) for a in alphas),
+            snap_phases=tuple(tuple(float(p) for p in row) for row in phases),
+        )
+        expected = displacement(6, alphas[0])
+        for layer in range(3):
+            expected = snap(6, phases[layer]) @ expected
+            expected = displacement(6, alphas[layer + 1]) @ expected
+        np.testing.assert_allclose(seq.matrix(), expected, rtol=0, atol=1e-13)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_matches_central_differences(self, d):
+        """Exact gradient vs central differences, one layer at alpha = 0."""
+        rng = np.random.default_rng(d)
+        n_layers, d_sim = d + 1, d + 4
+        target = qudit_complete_mixer(d, 0.7)
+        params = _random_params(rng, n_layers, d_sim)
+        params[1] = params[n_layers + 2] = 0.0  # alpha_1 = 0 exactly
+        _, gradient = _infidelity_and_gradient(params, target, n_layers, d_sim)
+        step = 1e-6
+        numeric = np.empty_like(params)
+        for index in range(params.size):
+            shift = np.zeros_like(params)
+            shift[index] = step
+            up, _ = _infidelity_and_gradient(params + shift, target, n_layers, d_sim)
+            down, _ = _infidelity_and_gradient(params - shift, target, n_layers, d_sim)
+            numeric[index] = (up - down) / (2 * step)
+        np.testing.assert_allclose(gradient, numeric, rtol=0, atol=1e-7)
+
+    def test_value_is_one_minus_subspace_fidelity(self):
+        rng = np.random.default_rng(11)
+        params = _random_params(rng, 3, 6)
+        target = qudit_mixer(2, 0.4)
+        infidelity, _ = _infidelity_and_gradient(params, target, 3, 6)
+        alphas, phases = _unpack(params, 3, 6)
+        product = _forward(6, alphas, phases)[2][-1]
+        assert infidelity == 1.0 - subspace_fidelity(product, target, 2)
+
 
 class TestSynthesis:
     def test_qubit_mixer_converges(self):
@@ -96,6 +176,28 @@ class TestSynthesis:
     def test_rejects_non_square(self):
         with pytest.raises(SynthesisError):
             synthesize_unitary(np.ones((2, 3)))
+
+    def test_rejects_zero_dimensional_target(self):
+        with pytest.raises(SynthesisError):
+            synthesize_unitary(np.array(1.0))
+
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(SynthesisError):
+            synthesize_unitary(qudit_mixer(2, 0.3), max_restarts=0)
+
+    def test_rejects_negative_guard_levels(self):
+        with pytest.raises(SynthesisError):
+            synthesize_unitary(qudit_mixer(2, 0.3), guard_levels=-1)
+
+    def test_rejects_negative_layer_count(self):
+        with pytest.raises(SynthesisError):
+            synthesize_unitary(qudit_mixer(2, 0.3), n_layers=-1)
+
+    def test_zero_guard_levels_allowed(self):
+        res = synthesize_unitary(
+            qudit_mixer(2, 0.3), guard_levels=0, seed=5, max_restarts=1, maxiter=20
+        )
+        assert res.sequence.d_sim == 2
 
     def test_custom_layer_count_respected(self):
         res = synthesize_unitary(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from repro.core import gates
 from repro.core.exceptions import DimensionError
@@ -202,6 +203,42 @@ class TestDisplacement:
         prod = gates.displacement(d, alpha) @ gates.displacement(d, -alpha)
         # Truncation errors only near the edge; check the low-photon block.
         np.testing.assert_allclose(prod[:8, :8], np.eye(16)[:8, :8], atol=1e-6)
+
+    @pytest.mark.parametrize("d", range(2, 26))
+    def test_closed_form_matches_expm(self, d):
+        """The eigenbasis closed form equals exp(alpha a† - alpha* a)."""
+        a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
+        rng = np.random.default_rng(d)
+        radius = 2.0 * np.sqrt(rng.uniform(size=3))
+        random = radius * np.exp(2j * np.pi * rng.uniform(size=3))
+        for alpha in (0.0, 1.3, -0.6, 0.8j, -2.0j, *random):
+            oracle = expm(alpha * a.T - np.conj(alpha) * a)
+            np.testing.assert_allclose(
+                gates.displacement(d, alpha), oracle, rtol=0, atol=1e-13
+            )
+
+    def test_exactly_unitary_despite_truncation(self):
+        assert gates.is_unitary(gates.displacement(6, 1.7 - 0.9j), atol=1e-13)
+
+    def test_amplitude_array_stacks_matrices(self):
+        alphas = np.array([[0.3, -0.2j], [0.0, 1.1 + 0.4j]])
+        stacked = gates.displacement(7, alphas)
+        assert stacked.shape == (2, 2, 7, 7)
+        for index in np.ndindex(alphas.shape):
+            np.testing.assert_allclose(
+                stacked[index], gates.displacement(7, alphas[index]), atol=1e-14
+            )
+
+    def test_eigenbasis_cache_is_read_only(self):
+        lam, vecs = gates.displacement_eigenbasis(5)
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 0.0
+        a = gates.annihilation(5)
+        np.testing.assert_allclose(
+            vecs @ np.diag(lam) @ vecs.conj().T, 1j * (a.conj().T - a), atol=1e-13
+        )
 
 
 class TestBeamsplitter:

@@ -8,6 +8,7 @@ Weyl (generalised Pauli) group used for encoding-comparison studies.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -36,6 +37,9 @@ class QuditChannel:
     Attributes:
         name: channel name for bookkeeping.
         kraus: tuple of Kraus matrices ``K_i`` with ``sum K_i† K_i = I``.
+        depolarizing_p: the probability ``p`` of a family built by
+            :func:`depolarizing`, ``None`` for every other channel.
+            :meth:`QuditCircuit.channel` carries it onto the instruction.
     """
 
     def __init__(
@@ -59,6 +63,7 @@ class QuditChannel:
             )
         self.name = name
         self.kraus = ops
+        self.depolarizing_p: float | None = None
 
     @property
     def dim(self) -> int:
@@ -91,7 +96,10 @@ class QuditChannel:
         return float((ent * d + 1.0) / (d + 1.0))
 
     def __repr__(self) -> str:
-        return f"QuditChannel(name={self.name!r}, dim={self.dim}, n_kraus={len(self.kraus)})"
+        return (
+            f"QuditChannel(name={self.name!r}, dim={self.dim}, "
+            f"n_kraus={len(self.kraus)})"
+        )
 
 
 def identity_channel(d: int) -> QuditChannel:
@@ -111,9 +119,23 @@ def depolarizing(d: int, p: float) -> QuditChannel:
     *non-identity* Weyl operator ``X^a Z^b``; with probability ``1-p``
     nothing happens.  This is the error model used in the encoding-threshold
     study (paper §II.A via ref [11]).
+
+    Families are memoised on ``(int(d), float(p))``: repeated calls return
+    the same channel object, whose Kraus arrays are read-only, so the
+    trace-preservation check runs once per family.  The channel records
+    ``p`` as :attr:`QuditChannel.depolarizing_p`.  Because the Weyl group
+    twirls every operator to its trace, the density engine applies such a
+    channel in closed form, ``(1 - λ) ρ + λ Tr_S(ρ) ⊗ I/d`` with
+    ``λ = p d² / (d² - 1)``, instead of contracting ``d²`` operators.
     """
+    d, p = int(d), float(p)
     if not 0.0 <= p <= 1.0:
         raise DimensionError(f"probability p={p} outside [0, 1]")
+    return _depolarizing(d, p)
+
+
+@functools.lru_cache(maxsize=128)
+def _depolarizing(d: int, p: float) -> QuditChannel:
     n_errors = d * d - 1
     ops = [math.sqrt(1.0 - p) * np.eye(d, dtype=complex)]
     for a in range(d):
@@ -121,7 +143,11 @@ def depolarizing(d: int, p: float) -> QuditChannel:
             if a == 0 and b == 0:
                 continue
             ops.append(math.sqrt(p / n_errors) * weyl(d, a, b))
-    return QuditChannel(ops, name=f"depol(d={d},p={p:.3g})")
+    channel = QuditChannel(ops, name=f"depol(d={d},p={p:.3g})")
+    for op in channel.kraus:
+        op.flags.writeable = False
+    channel.depolarizing_p = p
+    return channel
 
 
 def dephasing(d: int, p: float) -> QuditChannel:
@@ -172,7 +198,9 @@ def thermal_heating(d: int, epsilon: float) -> QuditChannel:
     for n in range(d - 1):
         raise_op[n + 1, n] = math.sqrt(epsilon)
     keep = np.diag(np.sqrt(1.0 - epsilon * (np.arange(d) < d - 1)))
-    return QuditChannel([keep.astype(complex), raise_op], name=f"heat(d={d},e={epsilon:.3g})")
+    return QuditChannel(
+        [keep.astype(complex), raise_op], name=f"heat(d={d},e={epsilon:.3g})"
+    )
 
 
 def weyl_channel(d: int, probabilities: dict[tuple[int, int], float]) -> QuditChannel:

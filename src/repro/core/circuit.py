@@ -9,7 +9,8 @@ situation the paper identifies as unsupported by existing stacks.
 Instructions fall into three kinds:
 
 * ``unitary`` — carries a dense matrix over its target wires;
-* ``channel`` — carries a list of Kraus operators (noise insertion);
+* ``channel`` — carries a list of Kraus operators (noise insertion), plus
+  the probability of a :func:`~repro.core.channels.depolarizing` family;
 * ``measure`` / ``reset`` — non-unitary bookkeeping used by simulators.
 """
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
+from .channels import QuditChannel, depolarizing
 from .dims import total_dim, validate_dims
 from .exceptions import CircuitError
 from .structure import GateStructure, classify_gate
@@ -43,6 +45,10 @@ class Instruction:
         matrix: dense unitary for ``kind == 'unitary'`` else ``None``.
         kraus: Kraus operator list for ``kind == 'channel'`` else ``None``.
         params: free-form parameter record (angles, amplitudes, ...).
+        depolarizing_p: probability of a channel whose ``kraus`` is the
+            :func:`~repro.core.channels.depolarizing` family, else ``None``.
+            Set by :meth:`QuditCircuit.channel` from the channel object;
+            checked against ``kraus`` on construction.
     """
 
     name: str
@@ -51,6 +57,7 @@ class Instruction:
     matrix: np.ndarray | None = None
     kraus: tuple[np.ndarray, ...] | None = None
     params: dict = field(default_factory=dict)
+    depolarizing_p: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -61,6 +68,25 @@ class Instruction:
             raise CircuitError(f"channel instruction {self.name!r} needs Kraus ops")
         if len(set(self.qudits)) != len(self.qudits):
             raise CircuitError(f"duplicate target wires in {self.qudits}")
+        if self.depolarizing_p is not None:
+            self._check_depolarizing()
+
+    def _check_depolarizing(self) -> None:
+        """Require ``kraus`` to be the family that ``depolarizing_p`` names."""
+        if self.kind != "channel":
+            raise CircuitError(
+                f"{self.kind} instruction {self.name!r} cannot be depolarising"
+            )
+        ops = self.kraus
+        family = depolarizing(ops[0].shape[0], self.depolarizing_p).kraus
+        if ops is not family and not (
+            len(ops) == len(family)
+            and all(np.array_equal(a, b) for a, b in zip(ops, family))
+        ):
+            raise CircuitError(
+                f"channel {self.name!r} is not the depolarising family of "
+                f"p={self.depolarizing_p}"
+            )
 
     @property
     def num_qudits(self) -> int:
@@ -108,11 +134,16 @@ class Instruction:
         wires, and the exact bytes (with dtype and shape) of the matrix /
         Kraus family — so two instructions hash alike iff they act
         identically.  ``params`` are deliberately excluded: they are
-        free-form metadata already reflected in the matrices.
+        free-form metadata already reflected in the matrices.  A
+        depolarising probability is hashed only when set (the density
+        engine applies that channel in closed form), so every other
+        instruction hashes as it did before the field existed.
         """
         hasher.update(
             f"{self.name}|{self.kind}|{self.qudits}".encode()
         )
+        if self.depolarizing_p is not None:
+            hasher.update(f"|depolarizing={self.depolarizing_p!r}".encode())
         arrays = []
         if self.matrix is not None:
             arrays.append(self.matrix)
@@ -207,14 +238,18 @@ class QuditCircuit:
     def _validate_instruction(self, instruction: Instruction) -> None:
         wires = self._check_wires(instruction.qudits)
         expected = self._target_dim(wires)
-        op = instruction.matrix if instruction.kind == "unitary" else (
-            instruction.kraus[0] if instruction.kind == "channel" else None
-        )
-        if op is not None and op.shape != (expected, expected):
-            raise CircuitError(
-                f"{instruction.name!r} has shape {op.shape} but wires {wires} "
-                f"span dimension {expected}"
-            )
+        if instruction.kind == "unitary":
+            ops: tuple[np.ndarray, ...] = (instruction.matrix,)
+        elif instruction.kind == "channel":
+            ops = instruction.kraus
+        else:
+            ops = ()
+        for op in ops:
+            if op.shape != (expected, expected):
+                raise CircuitError(
+                    f"{instruction.name!r} has an operator of shape {op.shape} "
+                    f"but wires {wires} span dimension {expected}"
+                )
 
     def append(self, instruction: Instruction) -> None:
         """Append a pre-built instruction, validating wire dimensions."""
@@ -257,15 +292,26 @@ class QuditCircuit:
 
     def channel(
         self,
-        kraus: Sequence[np.ndarray],
+        kraus: Sequence[np.ndarray] | QuditChannel,
         qudits: int | Sequence[int],
         name: str = "channel",
         **params,
     ) -> None:
-        """Append a Kraus channel on the given wire(s)."""
+        """Append a Kraus channel on the given wire(s).
+
+        ``kraus`` is a sequence of Kraus operators or a
+        :class:`~repro.core.channels.QuditChannel`.  A channel from
+        :func:`~repro.core.channels.depolarizing` carries its probability
+        onto the instruction, and the density engine then applies it in
+        closed form; its bare ``.kraus`` tuple is an ordinary channel.
+        """
         if isinstance(qudits, (int, np.integer)):
             qudits = (int(qudits),)
-        ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
+        if isinstance(kraus, QuditChannel):
+            ops, depolarizing_p = kraus.kraus, kraus.depolarizing_p
+        else:
+            ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
+            depolarizing_p = None
         self.append(
             Instruction(
                 name=name,
@@ -273,6 +319,7 @@ class QuditCircuit:
                 qudits=tuple(qudits),
                 kraus=ops,
                 params=params,
+                depolarizing_p=depolarizing_p,
             )
         )
 

@@ -1,17 +1,24 @@
 """Density-matrix simulation for noisy qudit circuits.
 
-Exact (non-stochastic) noisy simulation: the state is a full density matrix,
-channels are applied Kraus-by-Kraus via the same tensor contraction engine as
-the statevector simulator (left multiplication on kets, right on bras).
+Exact (non-stochastic) noisy simulation: the state is a full density matrix.
+Unitaries apply through the same tensor contraction engine as the
+statevector simulator (left multiplication on kets, right on bras).  A
+channel instruction takes the cheapest exact route its structure allows: a
+:func:`~repro.core.channels.depolarizing` channel applies in closed form
+(one partial trace and one add onto the target diagonal), an all-diagonal
+Kraus family as one elementwise multiply, a family on a contiguous target
+run as one batched contraction, and anything else operator by operator.
 Memory is ``O(D^2)``, so this backend is for small registers; larger noisy
 circuits use :mod:`repro.core.trajectories`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -48,9 +55,7 @@ class DensityMatrix:
         dim = total_dim(self.dims)
         data = np.asarray(data, dtype=complex)
         if data.shape != (dim, dim):
-            raise DimensionError(
-                f"density matrix shape {data.shape} != ({dim}, {dim})"
-            )
+            raise DimensionError(f"density matrix shape {data.shape} != ({dim}, {dim})")
         self._matrix = data
 
     # ------------------------------------------------------------------
@@ -104,6 +109,73 @@ class DensityMatrix:
         """``Tr(rho^2)``; 1 iff pure."""
         return float(np.real(np.trace(self._matrix @ self._matrix)))
 
+    def _wires(
+        self,
+        targets: int | Sequence[int],
+        operators: Sequence[np.ndarray] = (),
+    ) -> tuple[int, ...]:
+        """Validated target wires, each operator spanning exactly them.
+
+        Raises:
+            DimensionError: on a wire off the register, a repeated wire, or
+                an operator whose shape is not ``(D_S, D_S)`` for the joint
+                dimension ``D_S`` of the targets.
+        """
+        if isinstance(targets, (int, np.integer)):
+            targets = (int(targets),)
+        wires = tuple(int(t) for t in targets)
+        n = len(self.dims)
+        for t in wires:
+            if not 0 <= t < n:
+                raise DimensionError(f"wire {t} out of range for {n}-qudit register")
+        if len(set(wires)) != len(wires):
+            raise DimensionError(f"duplicate target wires in {wires}")
+        span = math.prod(self.dims[t] for t in wires)
+        for op in operators:
+            if op.shape != (span, span):
+                raise DimensionError(
+                    f"operator shape {op.shape} does not span wires {wires} "
+                    f"(dimension {span})"
+                )
+        return wires
+
+    def _target_diagonal(
+        self, tensor: np.ndarray, targets: tuple[int, ...], writeable: bool = False
+    ) -> np.ndarray:
+        """Strided view of ``tensor`` where each target's ket and bra digits agree.
+
+        ``tensor`` has the ``dims + dims`` (ket, bra) axes of ``rho``.  The
+        view's axes are the other wires' kets, their bras, then one axis
+        per target; each target axis steps its ket and bra axes together.
+        """
+        n = len(self.dims)
+        rest = [w for w in range(n) if w not in targets]
+        axes = rest + [w + n for w in rest]
+        shape = [tensor.shape[a] for a in axes] + [self.dims[t] for t in targets]
+        strides = [tensor.strides[a] for a in axes] + [
+            tensor.strides[t] + tensor.strides[t + n] for t in targets
+        ]
+        return as_strided(tensor, shape, strides, writeable=writeable)
+
+    def _apply_depolarizing(self, p: float, targets: tuple[int, ...]) -> np.ndarray:
+        """Depolarising channel in closed form.
+
+        The uniform average over the Weyl group twirls any operator to its
+        trace, so ``p`` spread over the ``d_S² - 1`` non-identity Weyl
+        operators gives ``(1 - λ) ρ + λ Tr_S(ρ) ⊗ I/d_S`` with
+        ``λ = p d_S² / (d_S² - 1)``: one partial trace over the targets and
+        one add onto their diagonal, in any target order.
+        """
+        d_s = math.prod(self.dims[t] for t in targets)
+        lam = p * d_s * d_s / (d_s * d_s - 1)
+        tensor = self._matrix.reshape(self.dims * 2)
+        k = len(targets)
+        reduced = self._target_diagonal(tensor, targets).sum(axis=tuple(range(-k, 0)))
+        out = (1.0 - lam) * tensor
+        diagonal = self._target_diagonal(out, targets, writeable=True)
+        diagonal += (lam / d_s) * reduced[(...,) + (None,) * k]
+        return out.reshape(self.dim, self.dim)
+
     # ------------------------------------------------------------------
     # evolution
     # ------------------------------------------------------------------
@@ -111,7 +183,7 @@ class DensityMatrix:
         self,
         matrices: Sequence[np.ndarray],
         targets: tuple[int, ...],
-        structures: Sequence[GateStructure] | None = None,
+        structures: Sequence[GateStructure | None] | None = None,
     ) -> np.ndarray:
         """Apply ``sum_i K_i rho K_i†`` on local targets via tensor ops."""
         n = len(self.dims)
@@ -122,8 +194,8 @@ class DensityMatrix:
             structures = [None] * len(matrices)
         if _metrics.enabled or _tracing.enabled:
             kinds = {
-                (classify_gate(op) if s is None else s).kind
-                for op, s in zip(matrices, structures)
+                (classify_gate(op) if st is None else st).kind
+                for op, st in zip(matrices, structures)
             }
             kind = kinds.pop() if len(kinds) == 1 else "mixed"
             _metrics.inc("gate_applies", backend="density", kind=kind)
@@ -138,12 +210,16 @@ class DensityMatrix:
         )
 
     def _apply_local_terms(
-        self, tensor, out, matrices, structures, targets, bra_targets
+        self,
+        tensor: np.ndarray,
+        out: np.ndarray,
+        matrices: Sequence[np.ndarray],
+        structures: Sequence[GateStructure | None],
+        targets: tuple[int, ...],
+        bra_targets: tuple[int, ...],
     ) -> np.ndarray:
         for op, structure in zip(matrices, structures):
-            term = apply_matrix(
-                tensor, op, self.dims * 2, targets, structure=structure
-            )
+            term = apply_matrix(tensor, op, self.dims * 2, targets, structure=structure)
             term = apply_matrix(
                 term,
                 op.conj(),
@@ -172,18 +248,15 @@ class DensityMatrix:
         first = targets[0]
         if list(targets) != list(range(first, first + k)):
             return None
-        n = len(self.dims)
         size_a = 1
         for d in self.dims[:first]:
             size_a *= d
         size_c = 1
-        for d in self.dims[first + k:]:
+        for d in self.dims[first + k :]:
             size_c *= d
         gate_dim = matrices[0].shape[0]
         stack = np.stack([np.asarray(m, dtype=complex) for m in matrices])
-        rho5 = self._matrix.reshape(
-            size_a, gate_dim, size_c * size_a, gate_dim, size_c
-        )
+        rho5 = self._matrix.reshape(size_a, gate_dim, size_c * size_a, gate_dim, size_c)
         out = np.einsum(
             "mab,xbycz,mdc->xaydz",
             stack,
@@ -206,15 +279,15 @@ class DensityMatrix:
         n = len(self.dims)
         weight = diags.T @ diags.conj()  # (d_gate, d_gate): ket x bra
         axes = list(targets) + [t + n for t in targets]
-        factor = broadcast_over_targets(
-            weight.reshape(-1), self.dims * 2, axes
-        )
+        factor = broadcast_over_targets(weight.reshape(-1), self.dims * 2, axes)
         tensor = self._matrix.reshape(self.dims + self.dims) * factor
         return tensor.reshape(self.dim, self.dim)
 
     def _apply_channel_instruction(self, instruction: Instruction) -> "DensityMatrix":
         """Channel application using the per-instruction structure cache.
 
+        A depolarising channel applies in closed form
+        (:meth:`_apply_depolarizing`) without looking at its Kraus family.
         Channels whose Kraus operators are *all* diagonal (dephasing,
         Kerr-type noise, the phase branches of Weyl channels) vectorise to
         one elementwise multiply; non-diagonal families on a contiguous
@@ -224,51 +297,57 @@ class DensityMatrix:
         still hit the O(D^2) fast kernels without per-call
         re-classification.
         """
-        structures = instruction.kraus_structures()
-        targets = tuple(instruction.qudits)
         if _metrics.enabled or _tracing.enabled:
-            kinds = {s.kind for s in structures}
-            kind = kinds.pop() if len(kinds) == 1 else "mixed"
+            if instruction.depolarizing_p is not None:
+                kind = "depolarizing"
+            else:
+                kinds = {s.kind for s in instruction.kraus_structures() or ()}
+                kind = kinds.pop() if len(kinds) == 1 else "mixed"
             _metrics.inc("channel_applies", backend="density", kind=kind)
             with _tracing.span(
-                "channel_apply", backend="density", kind=kind, kraus=len(structures)
+                "channel_apply",
+                backend="density",
+                kind=kind,
+                kraus=len(instruction.kraus or ()),
             ):
-                return self._apply_channel_dispatch(instruction, structures, targets)
-        return self._apply_channel_dispatch(instruction, structures, targets)
+                return self._apply_channel_dispatch(instruction)
+        return self._apply_channel_dispatch(instruction)
 
-    def _apply_channel_dispatch(
-        self, instruction: Instruction, structures, targets
-    ) -> "DensityMatrix":
+    def _apply_channel_dispatch(self, instruction: Instruction) -> "DensityMatrix":
+        targets = tuple(instruction.qudits)
+        p = instruction.depolarizing_p
+        if p is not None:
+            return DensityMatrix(self._apply_depolarizing(p, targets), self.dims)
+        kraus = instruction.kraus or ()
+        structures = instruction.kraus_structures() or ()
         if all(s.kind == DIAGONAL for s in structures):
             diags = np.stack([s.diag for s in structures])
             return DensityMatrix(
                 self._apply_diagonal_channel(diags, targets), self.dims
             )
-        if len(instruction.kraus) > 1:
-            batched = self._apply_kraus_batched(instruction.kraus, targets)
+        if len(kraus) > 1:
+            batched = self._apply_kraus_batched(kraus, targets)
             if batched is not None:
                 return DensityMatrix(batched, self.dims)
-        return DensityMatrix(
-            self._apply_local(instruction.kraus, targets, structures), self.dims
-        )
+        return DensityMatrix(self._apply_local(kraus, targets, structures), self.dims)
 
     def apply_unitary(
         self, matrix: np.ndarray, targets: int | Sequence[int]
     ) -> "DensityMatrix":
         """Conjugate by a local unitary: ``U rho U†``."""
-        if isinstance(targets, (int, np.integer)):
-            targets = (int(targets),)
-        mat = self._apply_local([np.asarray(matrix, dtype=complex)], tuple(targets))
+        ops = [np.asarray(matrix, dtype=complex)]
+        mat = self._apply_local(ops, self._wires(targets, ops))
         return DensityMatrix(mat, self.dims)
 
     def apply_kraus(
         self, kraus: Sequence[np.ndarray], targets: int | Sequence[int]
     ) -> "DensityMatrix":
         """Apply a Kraus channel on local targets."""
-        if isinstance(targets, (int, np.integer)):
-            targets = (int(targets),)
         ops = [np.asarray(k, dtype=complex) for k in kraus]
-        return DensityMatrix(self._apply_local(ops, tuple(targets)), self.dims)
+        if not ops:
+            raise DimensionError("channel needs at least one Kraus operator")
+        mat = self._apply_local(ops, self._wires(targets, ops))
+        return DensityMatrix(mat, self.dims)
 
     def apply_channel(
         self, channel: QuditChannel, targets: int | Sequence[int]
@@ -290,7 +369,7 @@ class DensityMatrix:
             )
         state = self
         for instruction in circuit:
-            if instruction.kind == "unitary":
+            if instruction.kind == "unitary" and instruction.matrix is not None:
                 state = DensityMatrix(
                     state._apply_local(
                         [instruction.matrix],
@@ -337,9 +416,7 @@ class DensityMatrix:
                     f"global operator shape {op.shape} != ({self.dim}, {self.dim})"
                 )
             return complex(np.trace(self._matrix @ op))
-        if isinstance(targets, (int, np.integer)):
-            targets = (int(targets),)
-        reduced = self.partial_trace(list(targets))
+        reduced = self.partial_trace(self._wires(targets, [op]))
         return complex(np.trace(reduced @ op))
 
     def fidelity_with_pure(self, state: Statevector) -> float:
@@ -351,7 +428,7 @@ class DensityMatrix:
 
     def partial_trace(self, keep: Sequence[int]) -> np.ndarray:
         """Reduced density matrix over ``keep`` wires (in the given order)."""
-        keep = list(keep)
+        keep = list(self._wires(keep))
         n = len(self.dims)
         others = [ax for ax in range(n) if ax not in keep]
         tensor = self._matrix.reshape(self.dims + self.dims)

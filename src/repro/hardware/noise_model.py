@@ -143,7 +143,7 @@ class DeviceNoiseModel:
                 for channel in self.channels_after_gate(
                     instruction.name, layout[wire]
                 ):
-                    noisy.channel(channel.kraus, wire, name=channel.name)
+                    noisy.channel(channel, wire, name=channel.name)
         return noisy
 
     def circuit_fidelity_estimate(

@@ -119,7 +119,7 @@ class OneHotEncoding:
                 and instruction.kind == "unitary"
                 and instruction.num_qudits == 2
             ):
-                noisy.channel(channel.kraus, instruction.qudits, name="depol")
+                noisy.channel(channel, instruction.qudits, name="depol")
         return noisy
 
     # ------------------------------------------------------------------

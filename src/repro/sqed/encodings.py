@@ -281,13 +281,11 @@ def insert_depolarizing_noise(
             prob = 1.0 - (1.0 - epsilon) ** equivalents
             if prob > 0:
                 noisy.channel(
-                    depolarizing(dim, prob).kraus,
+                    depolarizing(dim, prob),
                     instruction.qudits,
                     name="depol",
                 )
         elif epsilon > 0 and single_gate_fraction > 0:
             prob = single_gate_fraction * epsilon
-            noisy.channel(
-                depolarizing(dim, prob).kraus, instruction.qudits, name="depol"
-            )
+            noisy.channel(depolarizing(dim, prob), instruction.qudits, name="depol")
     return noisy

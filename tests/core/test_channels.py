@@ -101,6 +101,29 @@ class TestDepolarizing:
             ch.depolarizing(3, 1.5)
 
 
+class TestDepolarizingMemo:
+    def test_same_object_twice(self):
+        first = ch.depolarizing(3, 0.125)
+        assert ch.depolarizing(3, 0.125) is first
+        assert ch.depolarizing(np.int64(3), np.float64(0.125)) is first
+        assert ch.depolarizing(3, 0.25) is not first
+
+    def test_arrays_read_only(self):
+        channel = ch.depolarizing(4, 0.1)
+        assert all(not op.flags.writeable for op in channel.kraus)
+        with pytest.raises(ValueError):
+            channel.kraus[0][0, 0] = 0.0
+
+    def test_records_its_probability(self):
+        assert ch.depolarizing(3, 0.1).depolarizing_p == 0.1
+        assert ch.dephasing(3, 0.1).depolarizing_p is None
+
+    @pytest.mark.parametrize("p", [-1e-9, 1.0 + 1e-9, 2.0, float("nan")])
+    def test_probability_outside_unit_interval_raises(self, p):
+        with pytest.raises(DimensionError):
+            ch.depolarizing(3, p)
+
+
 class TestDephasing:
     @given(dim_strategy, prob_strategy)
     @settings(max_examples=30, deadline=None)

@@ -102,6 +102,25 @@ class TestCircuitBuilding:
         qc.channel(depolarizing(3, 0.1).kraus, 0, name="depol")
         assert qc.instructions[0].kind == "channel"
 
+    def test_ragged_kraus_family_rejected(self):
+        qc = QuditCircuit([3])
+        ragged = [np.sqrt(0.5) * np.eye(3), np.sqrt(0.5) * np.eye(2)]
+        with pytest.raises(CircuitError):
+            qc.channel(ragged, 0)
+        assert len(qc) == 0
+
+    def test_ragged_kraus_family_rejected_on_replace(self):
+        qc = QuditCircuit([3])
+        qc.channel(depolarizing(3, 0.1).kraus, 0)
+        ragged = Instruction(
+            name="ragged",
+            kind="channel",
+            qudits=(0,),
+            kraus=(np.eye(3, dtype=complex), np.eye(2, dtype=complex)),
+        )
+        with pytest.raises(CircuitError):
+            qc.replace_instruction(0, ragged)
+
     def test_measure_all_default(self):
         qc = QuditCircuit([3, 3, 3])
         qc.measure()

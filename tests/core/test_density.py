@@ -148,6 +148,59 @@ class TestPartialTrace:
         assert abs(np.trace(dm.partial_trace([1])) - 1.0) < 1e-10
 
 
+class TestEntryPointValidation:
+    """Bad wires and operator shapes raise DimensionError at every entry point."""
+
+    def test_apply_kraus_empty_family(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 2]).apply_kraus([], 0)
+
+    def test_apply_kraus_wrong_dimension(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 2]).apply_kraus([np.eye(2)], 0)
+
+    def test_apply_kraus_ragged_family(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 2]).apply_kraus([np.eye(3), np.eye(2)], 0)
+
+    def test_apply_unitary_wire_out_of_range(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 2]).apply_unitary(np.eye(3), 5)
+
+    def test_apply_unitary_negative_wire(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 2]).apply_unitary(np.eye(3), -1)
+
+    def test_apply_unitary_duplicate_wires(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 3]).apply_unitary(np.eye(9), (0, 0))
+
+    def test_apply_unitary_wrong_dimension(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 2]).apply_unitary(np.eye(3), 1)
+
+    def test_partial_trace_duplicate_wires(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 2]).partial_trace([0, 0])
+
+    def test_partial_trace_wire_out_of_range(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 2]).partial_trace([7])
+
+    def test_expectation_local_operator_wrong_shape(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 4]).expectation(gates.number_op(3), 1)
+
+    def test_expectation_local_wire_out_of_range(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix.zero([3, 4]).expectation(gates.number_op(4), 2)
+
+    def test_valid_calls_unchanged(self):
+        dm = DensityMatrix.zero([3, 2]).apply_unitary(gates.weyl_x(2), np.int64(1))
+        assert abs(dm.expectation(gates.number_op(2), [1]) - 1.0) < 1e-12
+        assert dm.partial_trace([]).shape == (1, 1)
+
+
 class TestSampling:
     def test_sample_bell_correlations(self):
         rng = np.random.default_rng(1)

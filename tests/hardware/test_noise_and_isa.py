@@ -97,6 +97,24 @@ class TestDeviceNoiseModel:
         assert dm.purity() < 1.0
         assert abs(dm.trace() - 1.0) < 1e-9
 
+    def test_transmon_depolarizing_matches_plain_kraus(self, device):
+        """The closed-form transmon channels agree with the bare Kraus families."""
+        qc = QuditCircuit([3, 3])
+        qc.fourier(0)
+        qc.csum(0, 1)
+        qc.snap(1, [0.0, 0.4, 1.1])
+        noisy = DeviceNoiseModel(device).apply_to_circuit(qc)
+        assert any(inst.depolarizing_p is not None for inst in noisy)
+        plain = QuditCircuit(noisy.dims)
+        for inst in noisy:
+            if inst.kind == "channel":
+                plain.channel(inst.kraus, inst.qudits, name=inst.name)
+            else:
+                plain.append(inst)
+        closed = DensityMatrix.zero([3, 3]).evolve(noisy)
+        reference = DensityMatrix.zero([3, 3]).evolve(plain)
+        np.testing.assert_allclose(closed.matrix, reference.matrix, rtol=0, atol=1e-12)
+
     def test_apply_to_circuit_layout_dimension_check(self, device):
         qc = QuditCircuit([4])
         with pytest.raises(DeviceError):

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core import DensityMatrix, QuditCircuit
 from repro.core.exceptions import DimensionError, SimulationError
 from repro.qaoa import (
     ColoringProblem,
@@ -117,6 +118,24 @@ class TestOneHot:
     def test_noise_decays_validity(self, encoding):
         noisy = validity_probability(encoding, 0.08, shots=40, seed=1)
         assert noisy < 1.0
+
+    def test_depolarized_density_matches_plain_kraus(self):
+        """The closed-form channels agree with the bare Kraus families."""
+        encoding = OneHotEncoding(ColoringProblem(nx.path_graph(2), 2))
+        noisy = encoding.with_depolarizing(
+            encoding.qaoa_circuit([0.6], [0.4]), 0.05
+        )
+        depolarizing = [i for i in noisy if i.depolarizing_p is not None]
+        assert depolarizing and all(i.depolarizing_p == 0.05 for i in depolarizing)
+        plain = QuditCircuit(noisy.dims)
+        for inst in noisy:
+            if inst.kind == "channel":
+                plain.channel(inst.kraus, inst.qudits, name=inst.name)
+            else:
+                plain.append(inst)
+        closed = DensityMatrix.zero(noisy.dims).evolve(noisy)
+        reference = DensityMatrix.zero(noisy.dims).evolve(plain)
+        np.testing.assert_allclose(closed.matrix, reference.matrix, rtol=0, atol=1e-12)
 
     def test_compare_validity_sweep(self):
         problem = ColoringProblem(nx.path_graph(3), 3)

@@ -155,3 +155,21 @@ class TestNoiseInsertion:
         ideal = Statevector.zero(encoding.dims).evolve(step)
         rho = DensityMatrix.zero(encoding.dims).evolve(noisy)
         assert rho.fidelity_with_pure(ideal) < 1.0
+
+    @pytest.mark.parametrize("encoding_cls", [QuditEncoding, QubitEncoding])
+    def test_depolarized_density_matches_plain_kraus(self, chain, encoding_cls):
+        """Every inserted channel is closed-form and agrees with its Kraus family."""
+        from repro.core import DensityMatrix, QuditCircuit
+
+        encoding = encoding_cls(chain)
+        noisy = insert_depolarizing_noise(encoding.trotter_step(0.3), encoding, 0.05)
+        plain = QuditCircuit(noisy.dims)
+        for inst in noisy:
+            if inst.kind == "channel":
+                assert inst.depolarizing_p is not None
+                plain.channel(inst.kraus, inst.qudits, name=inst.name)
+            else:
+                plain.append(inst)
+        closed = DensityMatrix.zero(noisy.dims).evolve(noisy)
+        reference = DensityMatrix.zero(noisy.dims).evolve(plain)
+        np.testing.assert_allclose(closed.matrix, reference.matrix, rtol=0, atol=1e-12)

@@ -16,23 +16,20 @@ on the dual lattice of an ``Lx x Ly`` ladder.  Table I row 1 targets
 ``Ns = 9 x 2`` with ``d = 4+``: nine rungs of two plaquettes each.
 
 Scale note: 18 sites at d=4 is a 6.9e10-dimensional Hilbert space — the
-paper itself only *estimates* this campaign, which is exactly what
-:func:`campaign_resources` does via the transpiler; small instances
-(2x2, 3x2) are exactly simulable for physics checks.
+paper itself only *estimates* this campaign, which the transpiler's
+resource estimate does; small instances (2x2, 3x2) have exact gaps from
+the shared sparse Lanczos solver of :class:`~repro.sqed.rotor.RotorLattice`.
 """
 
 from __future__ import annotations
 
-
-import numpy as np
-
 from ..core.exceptions import DimensionError
-from .rotor import HamiltonianTerm, RotorSiteOperators
+from .rotor import HamiltonianTerm, RotorLattice, RotorSiteOperators
 
 __all__ = ["RotorLadder2D", "ladder_mode_layout"]
 
 
-class RotorLadder2D:
+class RotorLadder2D(RotorLattice):
     """Dual-rotor Hamiltonian of 2+1D U(1) gauge theory on an Lx x Ly grid.
 
     Sites are dual-lattice plaquettes indexed ``(x, y)`` with
@@ -65,24 +62,7 @@ class RotorLadder2D:
         self.g2 = float(g2)
         self.kappa = float(kappa)
         self.boundary_field = bool(boundary_field)
-
-    # ------------------------------------------------------------------
-    # structure
-    # ------------------------------------------------------------------
-    @property
-    def n_sites(self) -> int:
-        """Number of dual sites (plaquettes)."""
-        return self.lx * self.ly
-
-    @property
-    def site_dim(self) -> int:
-        """Per-site qudit dimension."""
-        return self.ops.dim
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        """Register dimensions."""
-        return (self.site_dim,) * self.n_sites
+        self.n_sites = self.lx * self.ly
 
     def site_index(self, x: int, y: int) -> int:
         """Row-major flat index of plaquette (x, y)."""
@@ -110,52 +90,21 @@ class RotorLadder2D:
                     out.append(self.site_index(x, y))
         return out
 
-    # ------------------------------------------------------------------
-    # Hamiltonian
-    # ------------------------------------------------------------------
     def terms(self) -> list[HamiltonianTerm]:
         """Local terms: electric, plaquette hopping, boundary field."""
         lz = self.ops.lz()
-        raising = self.ops.raising()
-        out: list[HamiltonianTerm] = []
-        for site in range(self.n_sites):
-            out.append(
-                HamiltonianTerm((site,), 0.5 * self.g2 * (lz @ lz), "electric")
-            )
-        hop = -self.kappa * (
-            np.kron(raising, raising.conj().T)
-            + np.kron(raising.conj().T, raising)
-        )
+        out = [
+            HamiltonianTerm((site,), 0.5 * self.g2 * (lz @ lz), "electric")
+            for site in range(self.n_sites)
+        ]
+        hop = -self.kappa * self.ops.hop()
         for i, j in self.bonds():
             out.append(HamiltonianTerm((i, j), hop, "hop"))
         if self.boundary_field:
-            boundary = -self.kappa * (raising + raising.conj().T)
+            boundary = -self.kappa * (self.ops.raising() + self.ops.lowering())
             for site in self.boundary_sites():
                 out.append(HamiltonianTerm((site,), boundary, "boundary"))
         return out
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense Hamiltonian (small lattices only)."""
-        from ..core.statevector import embed_unitary
-
-        dim = self.site_dim**self.n_sites
-        if dim > 8192:
-            raise DimensionError(f"total dimension {dim} too large for dense H")
-        ham = np.zeros((dim, dim), dtype=complex)
-        for term in self.terms():
-            ham += embed_unitary(term.operator, self.dims, term.sites)
-        return ham
-
-    def mass_gap(self) -> float:
-        """Spectral gap by exact diagonalisation (small lattices)."""
-        eigs = np.linalg.eigvalsh(self.to_matrix())
-        return float(eigs[1] - eigs[0])
-
-    def __repr__(self) -> str:
-        return (
-            f"RotorLadder2D({self.lx}x{self.ly}, d={self.site_dim}, "
-            f"g2={self.g2}, kappa={self.kappa})"
-        )
 
 
 def ladder_mode_layout(lattice: RotorLadder2D, modes_per_cavity: int = 2) -> list[int]:

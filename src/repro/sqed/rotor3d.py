@@ -15,16 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..compile.routing import swap_network_layers
 from ..core.exceptions import DimensionError
-from .rotor import HamiltonianTerm, RotorSiteOperators
+from .rotor import HamiltonianTerm, RotorLattice, RotorSiteOperators
 
 __all__ = ["RotorLattice3D", "SwapNetworkEstimate", "swap_network_overhead"]
 
 
-class RotorLattice3D:
+class RotorLattice3D(RotorLattice):
     """Dual-rotor model on a small 3D grid (open boundaries).
 
     Args:
@@ -51,21 +49,7 @@ class RotorLattice3D:
         self.ops = RotorSiteOperators(spin)
         self.g2 = float(g2)
         self.kappa = float(kappa)
-
-    @property
-    def n_sites(self) -> int:
-        """Total site count."""
-        return self.lx * self.ly * self.lz
-
-    @property
-    def site_dim(self) -> int:
-        """Per-site qudit dimension."""
-        return self.ops.dim
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        """Register dimensions."""
-        return (self.site_dim,) * self.n_sites
+        self.n_sites = self.lx * self.ly * self.lz
 
     def site_index(self, x: int, y: int, z: int) -> int:
         """Row-major flat index."""
@@ -91,35 +75,14 @@ class RotorLattice3D:
     def terms(self) -> list[HamiltonianTerm]:
         """Electric + hopping terms (open boundaries, no boundary field)."""
         lz_op = self.ops.lz()
-        raising = self.ops.raising()
         out = [
             HamiltonianTerm((s,), 0.5 * self.g2 * (lz_op @ lz_op), "electric")
             for s in range(self.n_sites)
         ]
-        hop = -self.kappa * (
-            np.kron(raising, raising.conj().T)
-            + np.kron(raising.conj().T, raising)
-        )
+        hop = -self.kappa * self.ops.hop()
         for i, j in self.bonds():
             out.append(HamiltonianTerm((i, j), hop, "hop"))
         return out
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense Hamiltonian (2x2x2 at d=3 = 6561 is the practical cap)."""
-        from ..core.statevector import embed_unitary
-
-        dim = self.site_dim**self.n_sites
-        if dim > 8192:
-            raise DimensionError(f"total dimension {dim} too large for dense H")
-        ham = np.zeros((dim, dim), dtype=complex)
-        for term in self.terms():
-            ham += embed_unitary(term.operator, self.dims, term.sites)
-        return ham
-
-    def mass_gap(self) -> float:
-        """Spectral gap by exact diagonalisation (small lattices)."""
-        eigs = np.linalg.eigvalsh(self.to_matrix())
-        return float(eigs[1] - eigs[0])
 
 
 @dataclass(frozen=True)

@@ -225,9 +225,7 @@ def _latency_campaign(n_points: int, delay_ms: float) -> Campaign:
 def bench_latency_campaign(n_points: int, delay_ms: float, workers: int) -> dict:
     """Scheduler concurrency on a latency-bound workload (core-count free)."""
     serial = run_campaign(_latency_campaign(n_points, delay_ms))
-    parallel = run_campaign(
-        _latency_campaign(n_points, delay_ms), workers=workers, chunk_size=1
-    )
+    parallel = run_campaign(_latency_campaign(n_points, delay_ms), workers=workers)
     assert parallel.values == serial.values
     return {
         "n_points": n_points,
@@ -263,13 +261,13 @@ def bench_pool_reuse(
 
     start = time.perf_counter()
     cold_values = [
-        run_campaign(campaign, workers=workers, chunk_size=1).values
+        run_campaign(campaign, workers=workers).values
         for campaign in battery()
     ]
     cold_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    with CampaignExecutor(workers, chunk_size=1) as executor:
+    with CampaignExecutor(workers) as executor:
         warm_values = [
             executor.run(campaign).values for campaign in battery()
         ]
@@ -296,7 +294,7 @@ def bench_streaming(n_points: int, delay_ms: float, workers: int) -> dict:
     the stream yields point 0 after one task latency.
     """
     campaign = _latency_campaign(n_points, delay_ms)
-    barrier = run_campaign(campaign, workers=workers, chunk_size=1)
+    barrier = run_campaign(campaign, workers=workers)
 
     with CampaignExecutor(workers) as executor:
         executor.warm()

@@ -16,7 +16,10 @@ layer between the two:
   act on points as they finish; dead workers are respawned and their
   in-flight points re-dispatched, and :func:`run_campaign` is the
   one-shot barrier wrapper (resumable checkpoints, deterministic result
-  ordering);
+  ordering); one per-point attempt state machine decides retries,
+  backoff, crash re-dispatch and error-budget escalation for the serial
+  in-process loop and the pool alike, and its attempt numbers count
+  executions;
 * :mod:`repro.exec.policy` — :class:`FailurePolicy`: per-submission
   handling of task exceptions, worker crashes, and per-point timeouts
   (``fail_fast`` / ``continue`` / ``retry`` with deterministic backoff);

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -249,142 +249,26 @@ def _ladder(lo: int, hi: int) -> list[int]:
 class _Config:
     """One candidate engine configuration under evaluation."""
 
-    chi: int
-    kappa: int
-    n_trajectories: int
-    predicted_error: float
+    chi: int = 1
+    kappa: int = 1
+    n_trajectories: int = 1
+    predicted_error: float = 0.0
 
 
-def _engine_config(
-    name: str,
-    *,
-    noisy: bool,
-    target_error: float,
-    chi_exact: int,
-    kappa_exact: int,
-    n_two_site: int,
-    n_channels: int,
-    max_bond: int | None,
-    max_kraus: int | None,
-    calibration: dict[str, float],
-) -> _Config:
-    """Cheapest configuration of one engine predicted to meet the target.
+def _first_fit(
+    rungs: list[int], error: Callable[[int], float], share: float
+) -> tuple[int, float]:
+    """The first rung whose predicted error fits ``share``, else the last.
 
-    Cost is monotone in every knob, so the first ladder rung whose
-    predicted error fits the (split) budget is the cheapest; when no
-    rung fits, the largest is returned and the caller's feasibility
-    filter rejects the engine on its ``predicted_error``.
+    Cost is monotone in every knob, so the first fitting rung is the
+    cheapest; when none fits, the largest is returned and the planner
+    rejects the engine on its ``predicted_error``.
     """
-
-    def pick_chi(share: float) -> tuple[int, float]:
-        cap = min(chi_exact, _MAX_PLANNED_CHI)
-        if max_bond is not None:
-            cap = min(cap, int(max_bond))
-        for chi in _ladder(2, cap):
-            err = predicted_truncation_error(
-                chi,
-                n_two_site=n_two_site,
-                chi_exact=chi_exact,
-                calibration=calibration,
-            )
-            if err <= share:
-                return chi, err
-        return cap, predicted_truncation_error(
-            cap,
-            n_two_site=n_two_site,
-            chi_exact=chi_exact,
-            calibration=calibration,
-        )
-
-    def pick_kappa(share: float) -> tuple[int, float]:
-        # No kappa_exact ceiling here: finite Kraus caps are never
-        # error-free under channels, so the ladder may climb past the
-        # local operator-space dimension if the budget demands it.
-        cap = _MAX_PLANNED_KAPPA
-        if max_kraus is not None:
-            cap = min(cap, int(max_kraus))
-        for kappa in _ladder(2, cap):
-            err = predicted_purification_error(
-                kappa,
-                n_channels=n_channels,
-                kappa_exact=kappa_exact,
-                calibration=calibration,
-            )
-            if err <= share:
-                return kappa, err
-        return cap, predicted_purification_error(
-            cap,
-            n_channels=n_channels,
-            kappa_exact=kappa_exact,
-            calibration=calibration,
-        )
-
-    def pick_trajectories(share: float) -> tuple[int, float]:
-        needed = math.ceil((calibration["mc_sigma"] / share) ** 2)
-        n = max(1, min(_MAX_PLANNED_TRAJECTORIES, needed))
-        return n, predicted_sampling_error(n, calibration=calibration)
-
-    if name in ("statevector", "density"):
-        return _Config(chi=1, kappa=1, n_trajectories=1, predicted_error=0.0)
-    if name == "trajectories":
-        n, err = pick_trajectories(target_error)
-        return _Config(chi=1, kappa=1, n_trajectories=n, predicted_error=err)
-    if name == "mps":
-        if not noisy:
-            chi, err = pick_chi(target_error)
-            return _Config(
-                chi=chi, kappa=1, n_trajectories=1, predicted_error=err
-            )
-        chi, trunc = pick_chi(target_error / 2.0)
-        n, mc = pick_trajectories(target_error / 2.0)
-        return _Config(
-            chi=chi, kappa=1, n_trajectories=n, predicted_error=trunc + mc
-        )
-    if name == "lpdo":
-        chi, trunc = pick_chi(target_error / 2.0)
-        kappa, purif = pick_kappa(target_error / 2.0)
-        return _Config(
-            chi=chi,
-            kappa=kappa,
-            n_trajectories=1,
-            predicted_error=trunc + purif,
-        )
-    raise SimulationError(f"no accuracy model for engine {name!r}")
-
-
-def _legacy_error(
-    name: str,
-    *,
-    noisy: bool,
-    chi: int,
-    kappa: int,
-    n_trajectories: int,
-    chi_exact: int,
-    kappa_exact: int,
-    n_two_site: int,
-    n_channels: int,
-    calibration: dict[str, float],
-) -> float:
-    """Predicted error of the *given* caps (speed-only selection path)."""
-    if name in ("statevector", "density"):
-        return 0.0
-    if name == "trajectories":
-        return predicted_sampling_error(n_trajectories, calibration=calibration)
-    trunc = predicted_truncation_error(
-        chi, n_two_site=n_two_site, chi_exact=chi_exact, calibration=calibration
-    )
-    if name == "mps":
-        if not noisy:
-            return trunc
-        return trunc + predicted_sampling_error(
-            n_trajectories, calibration=calibration
-        )
-    return trunc + predicted_purification_error(
-        kappa,
-        n_channels=n_channels,
-        kappa_exact=kappa_exact,
-        calibration=calibration,
-    )
+    for rung in rungs:
+        err = error(rung)
+        if err <= share:
+            break
+    return rung, err
 
 
 # ----------------------------------------------------------------------
@@ -415,87 +299,80 @@ def _plan(
             candidates += ["trajectories", "mps"]
 
     if target_error is None:
-        # Legacy contract: rank by predicted speed at the caller's caps
-        # (register-derived defaults when none are given — an exact
-        # engine is never modelled wider than the register can need).
-        chi = int(max_bond) if max_bond is not None else min(32, chi_exact)
-        kappa = int(max_kraus) if max_kraus is not None else min(8, kappa_exact)
-        table = _estimate(
-            dims,
-            noisy,
-            n_instructions,
-            chi=chi,
-            kappa=kappa,
-            n_trajectories=n_trajectories,
-            calibration=calibration,
-        )
-        for name, row in table.items():
-            row["predicted_error"] = _legacy_error(
-                name,
-                noisy=noisy,
-                chi=chi,
-                kappa=kappa,
-                n_trajectories=n_trajectories,
-                chi_exact=chi_exact,
-                kappa_exact=kappa_exact,
-                n_two_site=n_two_site,
-                n_channels=n_channels,
-                calibration=calibration,
-            )
-        feasible = [name for name in candidates if table[name]["feasible"]]
-        if not feasible:
-            raise SimulationError(
-                f"no feasible backend for dims={dims} noisy={noisy} under a "
-                f"{calibration['memory_budget_bytes']:.3g}-byte budget; "
-                "estimates: "
-                + ", ".join(
-                    f"{name}={table[name]['memory_bytes']:.3g}B"
-                    for name in candidates
-                )
-            )
-        chosen = min(feasible, key=lambda name: table[name]["est_seconds"])
-        options: dict[str, Any] = {}
-        if chosen in ("mps", "lpdo"):
-            options["max_bond"] = chi
-        if chosen == "lpdo":
-            options["max_kraus"] = kappa
-        if chosen in ("trajectories", "mps") and noisy:
-            options["n_trajectories"] = n_trajectories
-        reason = (
-            f"{'noisy' if noisy else 'noiseless'} register D={dim:.3g} on "
-            f"{len(dims)} sites; cheapest feasible of {feasible} by the "
-            f"calibrated model ({table[chosen]['est_seconds']:.2e} s estimated)"
-        )
-        return BackendPlan(
-            name=chosen,
-            options=options,
-            reason=reason,
-            estimates=table,
-            target_error=None,
-            predicted_error=float(table[chosen]["predicted_error"]),
-            predicted_cost_s=float(table[chosen]["est_seconds"]),
+        # Speed-only selection is the contract search with every ladder
+        # pinned to one rung — the caller's caps, or register-derived
+        # defaults (an exact engine is never modelled wider than the
+        # register can need) — and no budget to filter on.  Every
+        # engine is tabulated, candidate or not.
+        budget = math.inf
+        chis = [int(max_bond) if max_bond is not None else min(32, chi_exact)]
+        kappas = [int(max_kraus) if max_kraus is not None else min(8, kappa_exact)]
+        pinned: int | None = n_trajectories
+        scored = list(_ENGINE_COST_KEY)
+    else:
+        # Accuracy contract: per engine, the cheapest configuration
+        # predicted to meet the target; then the cheapest engine among
+        # those that do.
+        if target_error <= 0:
+            raise SimulationError("target_error must be positive")
+        budget = target_error
+        chi_cap = min(chi_exact, _MAX_PLANNED_CHI)
+        if max_bond is not None:
+            chi_cap = min(chi_cap, int(max_bond))
+        # No kappa_exact ceiling here: finite Kraus caps are never
+        # error-free under channels, so the ladder may climb past the
+        # local operator-space dimension if the budget demands it.
+        kappa_cap = _MAX_PLANNED_KAPPA
+        if max_kraus is not None:
+            kappa_cap = min(kappa_cap, int(max_kraus))
+        chis = _ladder(2, chi_cap)
+        kappas = _ladder(2, kappa_cap)
+        pinned = None
+        scored = candidates
+
+    def truncation(chi: int) -> float:
+        return predicted_truncation_error(
+            chi, n_two_site=n_two_site, chi_exact=chi_exact, calibration=calibration
         )
 
-    # Accuracy contract: per engine, the cheapest configuration predicted
-    # to meet the target; then the cheapest engine among those that do.
-    if target_error <= 0:
-        raise SimulationError("target_error must be positive")
-    table = {}
-    configs: dict[str, _Config] = {}
-    for name in candidates:
-        config = _engine_config(
-            name,
-            noisy=noisy,
-            target_error=target_error,
-            chi_exact=chi_exact,
-            kappa_exact=kappa_exact,
-            n_two_site=n_two_site,
+    def purification(kappa: int) -> float:
+        return predicted_purification_error(
+            kappa,
             n_channels=n_channels,
-            max_bond=max_bond,
-            max_kraus=max_kraus,
+            kappa_exact=kappa_exact,
             calibration=calibration,
         )
+
+    def sampling(share: float) -> tuple[int, float]:
+        n = pinned
+        if n is None:
+            needed = math.ceil((calibration["mc_sigma"] / share) ** 2)
+            n = max(1, min(_MAX_PLANNED_TRAJECTORIES, needed))
+        return n, predicted_sampling_error(n, calibration=calibration)
+
+    def configure(name: str) -> _Config:
+        """One engine's cheapest configuration; two error sources split the budget."""
+        if name in ("statevector", "density"):
+            return _Config()
+        if name == "trajectories":
+            n, err = sampling(budget)
+            return _Config(n_trajectories=n, predicted_error=err)
+        if name == "mps" and not noisy:
+            chi, err = _first_fit(chis, truncation, budget)
+            return _Config(chi=chi, predicted_error=err)
+        chi, trunc = _first_fit(chis, truncation, budget / 2.0)
+        if name == "mps":
+            n, mc = sampling(budget / 2.0)
+            return _Config(chi=chi, n_trajectories=n, predicted_error=trunc + mc)
+        kappa, purif = _first_fit(kappas, purification, budget / 2.0)
+        return _Config(chi=chi, kappa=kappa, predicted_error=trunc + purif)
+
+    table: dict[str, dict[str, float]] = {}
+    configs: dict[str, _Config] = {}
+    for name in scored:
+        config = configs[name] = configure(name)
         row = _estimate(
+            name,
             dims,
             noisy,
             n_instructions,
@@ -503,21 +380,28 @@ def _plan(
             kappa=config.kappa,
             n_trajectories=config.n_trajectories,
             calibration=calibration,
-        )[name]
+        )
         row["predicted_error"] = config.predicted_error
         table[name] = row
-        configs[name] = config
     meeting = [
         name
         for name in candidates
-        if table[name]["feasible"]
-        and table[name]["predicted_error"] <= target_error
+        if table[name]["feasible"] and table[name]["predicted_error"] <= budget
     ]
     if not meeting:
+        budget_text = f"{calibration['memory_budget_bytes']:.3g}-byte budget"
+        if target_error is None:
+            raise SimulationError(
+                f"no feasible backend for dims={dims} noisy={noisy} under a "
+                f"{budget_text}; estimates: "
+                + ", ".join(
+                    f"{name}={table[name]['memory_bytes']:.3g}B"
+                    for name in candidates
+                )
+            )
         raise SimulationError(
             f"no engine predicted to meet target_error={target_error:g} for "
-            f"dims={dims} noisy={noisy} under a "
-            f"{calibration['memory_budget_bytes']:.3g}-byte budget; best "
+            f"dims={dims} noisy={noisy} under a {budget_text}; best "
             "predictions: "
             + ", ".join(
                 f"{name}={table[name]['predicted_error']:.2e}"
@@ -527,26 +411,32 @@ def _plan(
         )
     chosen = min(meeting, key=lambda name: table[name]["est_seconds"])
     config = configs[chosen]
-    options = {}
+    options: dict[str, Any] = {}
     if chosen in ("mps", "lpdo"):
         options["max_bond"] = config.chi
     if chosen == "lpdo":
         options["max_kraus"] = config.kappa
     if chosen == "trajectories" or (chosen == "mps" and noisy):
         options["n_trajectories"] = config.n_trajectories
-    reason = (
-        f"target_error={target_error:g} on a "
-        f"{'noisy' if noisy else 'noiseless'} register D={dim:.3g} over "
-        f"{len(dims)} sites; cheapest of {meeting} meeting the budget "
-        f"(predicted error {config.predicted_error:.2e}, "
-        f"{table[chosen]['est_seconds']:.2e} s estimated)"
-    )
+    register = f"{'noisy' if noisy else 'noiseless'} register D={dim:.3g}"
+    estimated = f"{table[chosen]['est_seconds']:.2e} s estimated"
+    if target_error is None:
+        reason = (
+            f"{register} on {len(dims)} sites; cheapest feasible of "
+            f"{meeting} by the calibrated model ({estimated})"
+        )
+    else:
+        reason = (
+            f"target_error={target_error:g} on a {register} over "
+            f"{len(dims)} sites; cheapest of {meeting} meeting the budget "
+            f"(predicted error {config.predicted_error:.2e}, {estimated})"
+        )
     return BackendPlan(
         name=chosen,
         options=options,
         reason=reason,
         estimates=table,
-        target_error=float(target_error),
+        target_error=None if target_error is None else float(target_error),
         predicted_error=float(config.predicted_error),
         predicted_cost_s=float(table[chosen]["est_seconds"]),
     )
@@ -571,13 +461,34 @@ def plan_backend(
 ) -> BackendPlan:
     """Plan engine + caps for one workload, optionally under an error budget.
 
-    The engine behind :func:`repro.exec.select_backend` — see there for
-    the shared arguments.  The planning-specific ones:
+    The engine behind :func:`repro.exec.select_backend`, which forwards
+    its keywords here unchanged.
 
     Args:
+        dims: register dimensions.
+        noisy: whether the circuit contains channel/reset instructions.
+        n_instructions: circuit length (scales every cost estimate).
+        memory_budget: bytes any single resident state may occupy
+            (default: the calibrated budget, 1 GiB out of the box).
+        observables: ``"local"`` (expectations of few-wire operators,
+            sampling — every engine qualifies) or ``"dense"`` (the caller
+            will ask for the full probability vector, which tensor-network
+            engines can only produce for registers below ~4M amplitudes).
+        allow_sampling: permit engines with Monte-Carlo error on noisy
+            circuits (trajectories, MPS unravelling).  Off by default so
+            sweeps and bisections stay deterministic.
+        n_trajectories: batch width assumed for sampling engines
+            (speed-only selection; a contract sizes it from the budget).
+        max_bond: bond cap for tensor-network engines — the cap assumed
+            by speed-only selection (default: the register's exact
+            Schmidt rank, clamped to 32), the ceiling of a contract's
+            cap search.
+        max_kraus: Kraus-leg cap for LPDO — likewise assumed (default:
+            the register's exact Kraus width, clamped to 8) or a ceiling.
+        calibration: cost-constant override (default: committed record).
         target_error: total error budget for the delivered observables.
-            ``None`` keeps the legacy speed-only ranking at the caller's
-            caps; a positive float makes the plan search each engine's
+            ``None`` ranks engines by predicted speed alone, at the caps
+            above; a positive float makes the plan search each engine's
             cap/trajectory ladder for the cheapest configuration whose
             *predicted* error meets the budget, and raises
             :class:`SimulationError` when none does.
@@ -593,7 +504,9 @@ def plan_backend(
 
     Returns:
         A :class:`BackendPlan` (also a valid
-        :class:`~repro.exec.costmodel.BackendChoice`).
+        :class:`~repro.exec.costmodel.BackendChoice`); raises
+        :class:`SimulationError` when no engine is feasible — or, with
+        ``target_error``, predicted to meet it — under the constraints.
     """
     dims = validate_dims(dims)
     if observables not in ("local", "dense"):

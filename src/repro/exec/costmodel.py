@@ -26,6 +26,8 @@ absent.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -159,6 +161,7 @@ class BackendChoice:
 
 
 def _estimate(
+    name: str,
     dims: tuple[int, ...],
     noisy: bool,
     n_instructions: int,
@@ -167,154 +170,111 @@ def _estimate(
     kappa: int,
     n_trajectories: int,
     calibration: dict[str, float],
-) -> dict[str, dict[str, float]]:
-    """Cost/memory model table for every engine on this workload."""
+) -> dict[str, float]:
+    """Cost/memory model row of one engine on this workload."""
     dim = float(np.prod([float(d) for d in dims]))
     n_sites = len(dims)
     d_max = max(dims)
     ops = max(1, int(n_instructions))
-    budget = float(calibration["memory_budget_bytes"])
-    table: dict[str, dict[str, float]] = {}
-
-    def add(
-        name: str, est_seconds: float, memory_bytes: float, ok: bool = True
-    ) -> None:
-        table[name] = {
-            "feasible": bool(ok and memory_bytes <= budget),
-            "est_seconds": float(est_seconds),
-            "memory_bytes": float(memory_bytes),
-        }
-
-    add(
-        "statevector",
-        calibration["statevector_amp_op_s"] * dim * ops,
-        16.0 * dim,
-        ok=not noisy,
-    )
-    add(
-        "density",
-        calibration["density_amp2_op_s"] * dim * dim * ops,
-        16.0 * dim * dim,
-    )
-    # The trajectory engine chunks its working set, but at least one
-    # trajectory must be resident; throughput scales with the full batch.
-    add(
-        "trajectories",
-        calibration["trajectories_amp_op_s"] * dim * n_trajectories * ops,
-        16.0 * dim * max(1, min(n_trajectories, _DENSE_CAP / dim)),
-    )
-    # On noisy circuits the MPS engine unravels channels stochastically —
-    # one full evolution (and one resident state) per trajectory.
-    mps_width = n_trajectories if noisy else 1
     tn_overhead = calibration.get("tn_op_overhead_s", 0.0) * ops
-    add(
-        "mps",
-        calibration["mps_site_chi3_op_s"] * n_sites * chi**3 * ops * mps_width
-        + tn_overhead * mps_width,
-        16.0 * n_sites * d_max * chi * chi * mps_width,
-    )
-    # The Kraus leg regrows to kappa * K at every channel before being
-    # compressed back down, and the Gram-matrix compression is quadratic
-    # in the leg width — so LPDO cost scales with kappa^2, not kappa.
-    add(
-        "lpdo",
-        calibration["lpdo_site_chi3_kappa2_op_s"]
-        * n_sites
-        * chi**3
-        * kappa**2
-        * ops
-        + tn_overhead,
-        16.0 * n_sites * d_max * kappa * chi * chi,
-    )
-    return table
+    ok = True
+    if name == "statevector":
+        est = calibration["statevector_amp_op_s"] * dim * ops
+        memory = 16.0 * dim
+        ok = not noisy
+    elif name == "density":
+        est = calibration["density_amp2_op_s"] * dim * dim * ops
+        memory = 16.0 * dim * dim
+    elif name == "trajectories":
+        # The trajectory engine chunks its working set, but at least one
+        # trajectory must be resident; throughput scales with the full
+        # batch.
+        est = calibration["trajectories_amp_op_s"] * dim * n_trajectories * ops
+        memory = 16.0 * dim * max(1, min(n_trajectories, _DENSE_CAP / dim))
+    elif name == "mps":
+        # On noisy circuits the MPS engine unravels channels
+        # stochastically — one full evolution (and one resident state)
+        # per trajectory.
+        width = n_trajectories if noisy else 1
+        est = (
+            calibration["mps_site_chi3_op_s"] * n_sites * chi**3 * ops * width
+            + tn_overhead * width
+        )
+        memory = 16.0 * n_sites * d_max * chi * chi * width
+    else:
+        # LPDO: the Kraus leg regrows to kappa * K at every channel
+        # before being compressed back down, and the Gram-matrix
+        # compression is quadratic in the leg width — so cost scales
+        # with kappa^2, not kappa.
+        est = (
+            calibration["lpdo_site_chi3_kappa2_op_s"]
+            * n_sites
+            * chi**3
+            * kappa**2
+            * ops
+            + tn_overhead
+        )
+        memory = 16.0 * n_sites * d_max * kappa * chi * chi
+    return {
+        "feasible": bool(ok and memory <= float(calibration["memory_budget_bytes"])),
+        "est_seconds": float(est),
+        "memory_bytes": float(memory),
+    }
 
 
-def select_backend(
-    dims: Sequence[int],
-    *,
-    noisy: bool,
-    n_instructions: int = 100,
-    memory_budget: float | None = None,
-    observables: str = "local",
-    allow_sampling: bool = False,
-    n_trajectories: int = 128,
-    max_bond: int | None = None,
-    max_kraus: int | None = None,
-    calibration: dict[str, float] | None = None,
-    target_error: float | None = None,
-    ledger: Any = None,
-    n_two_site: int | None = None,
-    n_channels: int | None = None,
-    **unknown: Any,
-) -> "BackendPlan":
+def select_backend(dims: Sequence[int], **options: Any) -> "BackendPlan":
     """Choose the cheapest engine for one workload, optionally under ε.
 
-    Args:
-        dims: register dimensions.
-        noisy: whether the circuit contains channel/reset instructions.
-        n_instructions: circuit length (scales every cost estimate).
-        memory_budget: bytes any single resident state may occupy
-            (default: the calibrated budget, 1 GiB out of the box).
-        observables: ``"local"`` (expectations of few-wire operators,
-            sampling — every engine qualifies) or ``"dense"`` (the caller
-            will ask for the full probability vector, which tensor-network
-            engines can only produce for registers below ~4M amplitudes).
-        allow_sampling: permit engines with Monte-Carlo error on noisy
-            circuits (trajectories, MPS unravelling).  Off by default so
-            sweeps and bisections stay deterministic.
-        n_trajectories: batch width assumed for sampling engines.
-        max_bond: bond cap assumed for tensor-network engines (default:
-            the register's exact Schmidt rank, clamped to 32).
-        max_kraus: Kraus-leg cap assumed for LPDO (default: the
-            register's exact Kraus width, clamped to 8).
-        calibration: cost-constant override (default: committed record).
-        target_error: accuracy contract — when given, the plan searches
-            each engine's cap/trajectory ladder for the cheapest
-            configuration *predicted* to deliver observables within this
-            budget (see :func:`repro.exec.autopilot.plan_backend`).
-        ledger: a :class:`~repro.obs.ledger.RunLedger` (or path) whose
-            observed wall times and error accounts recalibrate the plan.
-        n_two_site: two-site gate count (entanglement-growth model
-            input; defaults from ``n_instructions``).
-        n_channels: channel/reset count (purification model input).
+    Scores every engine with the calibrated cost model (and, given a
+    ``target_error``, the accuracy model) and returns the cheapest
+    feasible one.  The keywords are exactly those of
+    :func:`repro.exec.autopilot.plan_backend`, which documents them;
+    ``noisy`` is required.
 
     Returns:
         A :class:`~repro.exec.autopilot.BackendPlan` (a
         :class:`BackendChoice` subclass); raises
         :class:`SimulationError` when no engine is feasible — or, with
-        ``target_error``, predicted to meet it — under the constraints.
+        ``target_error``, predicted to meet it — under the constraints,
+        and when a keyword is not one ``plan_backend`` takes.
     """
-    if unknown:
-        raise SimulationError(
-            f"select_backend got unknown keyword(s) {sorted(unknown)}; "
-            "valid keywords: noisy, n_instructions, memory_budget, "
-            "observables, allow_sampling, n_trajectories, max_bond, "
-            "max_kraus, calibration, target_error, ledger, n_two_site, "
-            "n_channels"
-        )
     from .autopilot import plan_backend
 
-    return plan_backend(
-        dims,
-        noisy=noisy,
-        n_instructions=n_instructions,
-        memory_budget=memory_budget,
-        observables=observables,
-        allow_sampling=allow_sampling,
-        n_trajectories=n_trajectories,
-        max_bond=max_bond,
-        max_kraus=max_kraus,
-        calibration=calibration,
-        target_error=target_error,
-        ledger=ledger,
-        n_two_site=n_two_site,
-        n_channels=n_channels,
-    )
+    unknown = sorted(set(options).difference(_plan_keywords()))
+    if unknown:
+        raise SimulationError(
+            f"select_backend got unknown keyword(s) {unknown}; "
+            f"valid keywords: {', '.join(_plan_keywords())}"
+        )
+    return plan_backend(dims, **options)
+
+
+@functools.cache
+def _plan_keywords() -> tuple[str, ...]:
+    """The keywords :func:`select_backend` forwards to ``plan_backend``."""
+    from .autopilot import plan_backend
+
+    return tuple(inspect.signature(plan_backend).parameters)[1:]
 
 
 def circuit_is_noisy(circuit: QuditCircuit) -> bool:
     """True when the circuit carries channel or reset instructions."""
     return any(ins.kind in ("channel", "reset") for ins in circuit)
+
+
+def _structure(circuit: QuditCircuit) -> tuple[int, int]:
+    """The accuracy model's circuit inputs: two-site gates and channels.
+
+    Two-site (and wider) unitaries drive entanglement growth; channel
+    and reset instructions drive purification growth.
+    """
+    n_two_site = n_channels = 0
+    for ins in circuit:
+        if ins.kind in ("channel", "reset"):
+            n_channels += 1
+        elif ins.kind == "unitary" and len(ins.qudits) >= 2:
+            n_two_site += 1
+    return n_two_site, n_channels
 
 
 def select_backend_for_circuit(
@@ -323,24 +283,13 @@ def select_backend_for_circuit(
     """:func:`select_backend` with structure read off a circuit.
 
     Beyond noise content and length, the circuit also yields the
-    autopilot's accuracy-model inputs: its two-site gate count (drives
-    entanglement growth) and its channel/reset count (drives
-    purification growth).
+    autopilot's accuracy-model inputs (:func:`_structure`).
     """
-    options.setdefault("noisy", circuit_is_noisy(circuit))
+    n_two_site, n_channels = _structure(circuit)
+    options.setdefault("noisy", n_channels > 0)
     options.setdefault("n_instructions", len(circuit))
-    options.setdefault(
-        "n_two_site",
-        sum(
-            1
-            for ins in circuit
-            if ins.kind == "unitary" and len(ins.qudits) >= 2
-        ),
-    )
-    options.setdefault(
-        "n_channels",
-        sum(1 for ins in circuit if ins.kind in ("channel", "reset")),
-    )
+    options.setdefault("n_two_site", n_two_site)
+    options.setdefault("n_channels", n_channels)
     return select_backend(circuit.dims, **options)
 
 
@@ -486,49 +435,37 @@ class AutoBackend(SimulationBackend):
         self, circuit: QuditCircuit, initial: Any, **options: Any
     ) -> BackendResult:
         auto, forward = self._split_options(options)
+        contract = auto.get("target_error") is not None
+        structure = _structure(circuit) if contract else None
         noisy = auto.get("noisy")
         if noisy is None:
-            noisy = circuit_is_noisy(circuit)
-        n_two_site = n_channels = None
-        if auto.get("target_error") is not None:
-            n_two_site = sum(
-                1
-                for ins in circuit
-                if ins.kind == "unitary" and len(ins.qudits) >= 2
-            )
-            n_channels = sum(
-                1 for ins in circuit if ins.kind in ("channel", "reset")
-            )
+            noisy = structure[1] > 0 if structure else circuit_is_noisy(circuit)
+        n_two_site, n_channels = structure or (None, None)
         choice = self._choose(
-            circuit.dims, noisy, len(circuit), auto, forward,
-            n_two_site, n_channels,
+            circuit.dims, noisy, len(circuit), auto, forward, n_two_site, n_channels
         )
-        if auto.get("target_error") is not None:
+
+        def planned(given: dict[str, Any]) -> dict[str, Any]:
             # Under an accuracy contract the plan's caps are the point:
-            # drivers that pass explicit-None caps alongside the target
-            # must not clobber the planned values on the delegate.
-            forward = {
+            # explicit-None caps passed alongside the target, at run or
+            # prepare time, must not clobber the planned values.
+            if not contract:
+                return given
+            return {
                 k: v
-                for k, v in forward.items()
+                for k, v in given.items()
                 if v is not None or k not in choice.options
             }
+
+        forward = planned(forward)
         delegate = get_backend(choice.name, **{**choice.options, **forward})
         if isinstance(initial, _PreparedResult):
             # Honour the options given at prepare() time (rng seeds,
             # n_trajectories, ...) — stochastic delegates seed their
             # stream in prepare and continue it across stepwise runs.
-            prepare_options = {
-                k: v for k, v in initial.options.items() if k not in _AUTO_OPTIONS
-            }
-            if auto.get("target_error") is not None:
-                # Same rule as the run options above: explicit-None caps
-                # from a contract-driven caller must not uncap the
-                # planned delegate state.
-                prepare_options = {
-                    k: v
-                    for k, v in prepare_options.items()
-                    if v is not None or k not in choice.options
-                }
+            prepare_options = planned(
+                {k: v for k, v in initial.options.items() if k not in _AUTO_OPTIONS}
+            )
             initial = delegate.prepare(initial.dims, initial.digits, **prepare_options)
         elif initial is not None and isinstance(initial, BackendResult):
             initial = self._adapt(initial, choice.name)

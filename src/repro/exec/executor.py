@@ -1,8 +1,8 @@
 """Persistent campaign execution: supervised workers and streaming results.
 
-:func:`~repro.exec.runner.run_campaign` answers "run this sweep"; this
-module answers "run *many* sweeps, fast, fault-tolerantly, and let me
-consume points as they finish".  A :class:`CampaignExecutor` keeps one
+:func:`run_campaign` answers "run this sweep"; :class:`CampaignExecutor`
+answers "run *many* sweeps, fast, fault-tolerantly, and let me consume
+points as they finish".  A :class:`CampaignExecutor` keeps one
 warm pool of **supervised worker processes** alive across any number of
 :meth:`~CampaignExecutor.submit` calls, so a battery of short campaigns
 pays the fork + import cost once instead of per campaign.  Each
@@ -38,6 +38,13 @@ counters (``respawns`` / ``retries`` / ``timeouts``) surface in
 :attr:`CampaignExecutor.stats`.  Deterministic fault injection for all
 of this lives in :mod:`repro.exec.faults`.
 
+One per-point attempt state machine (:class:`_Dispatch`) decides what
+follows every execution — deliver, re-run, retry after backoff, record
+an error, or raise — and both the in-process serial loop and the
+supervised pool drive it, so serial and pooled campaigns take the same
+decisions.  Attempt numbers count executions (escalated re-runs and
+crash re-dispatches included).
+
 Abandoning a handle early (breaking out of a stream) is safe: points
 already dispatched finish in the background and their results are
 discarded; points never consumed are simply not cached or checkpointed.
@@ -45,6 +52,7 @@ discarded; points never consumed are simply not cached or checkpointed.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import inspect
 import itertools
@@ -59,7 +67,7 @@ import time
 import traceback
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from pathlib import Path
@@ -179,25 +187,48 @@ def _call_task(
     return to_jsonable(task(**params))
 
 
-def _execute_point(
+def _attempt(
     task_ref: str,
     point: CampaignPoint,
     attempt: int,
     faults: FaultPlan | None,
+    overrides: dict[str, Any] | None,
     *,
     in_worker: bool,
-    overrides: dict[str, Any] | None = None,
-) -> Any:
-    """One attempt at one point, with any scheduled fault injected first."""
-    if faults is not None:
-        faults.apply(point, attempt, in_worker=in_worker)
-    if _profiling.enabled:
-        # One wrap point covers workers and the serial path alike; the
-        # raw profile lands in the process-local buffer, shipped (or
-        # consumed) exactly like metric deltas.
-        with _profiling.profiled():
-            return _call_task(task_ref, point, overrides)
-    return _call_task(task_ref, point, overrides)
+) -> tuple[str, Any, BaseException | None, float, dict[str, Any] | None]:
+    """One execution of one point, in a worker or in-process alike.
+
+    Injects the scheduled fault, then calls the task under a fresh
+    :class:`~repro.core.budget.ErrorAccount` and a ``point`` span (the
+    raw profile, when profiling is on, lands in the process-local buffer
+    exactly like metric deltas).  Returns ``(kind, payload, exc,
+    exec_s, account)``: ``("ok", value, None, ...)`` or ``("exception",
+    error info, exc, ...)``, the execution's wall time, and the
+    account's summary.  In-process, ``KeyboardInterrupt`` and
+    ``SystemExit`` propagate rather than fail the point.
+    """
+    started = time.monotonic()
+    acct = _budget.ErrorAccount()
+    # The enabled checks keep the observability-off path free of the
+    # span and profiler generators.
+    span = (
+        _tracing.span("point", index=point.index, attempt=attempt)
+        if _tracing.enabled
+        else nullcontext()
+    )
+    profiled = _profiling.profiled() if _profiling.enabled else nullcontext()
+    try:
+        with _budget.scoped(acct), span:
+            if faults is not None:
+                faults.apply(point, attempt, in_worker=in_worker)
+            with profiled:
+                value = _call_task(task_ref, point, overrides)
+    except BaseException as exc:
+        if not in_worker and isinstance(exc, (KeyboardInterrupt, SystemExit)):
+            raise
+        info = _describe_error(exc)
+        return "exception", info, exc, time.monotonic() - started, acct.summary()
+    return "ok", value, None, time.monotonic() - started, acct.summary()
 
 
 def _escalated_caps(
@@ -271,7 +302,7 @@ def _sync_worker_obs(obs_conf: tuple[bool, bool, bool] | None) -> None:
 
 
 def _worker_obs_payload(
-    started: float, account: dict[str, Any] | None = None
+    exec_s: float, account: dict[str, Any] | None = None
 ) -> dict[str, Any]:
     """The per-point telemetry piggybacked onto the result reply.
 
@@ -281,7 +312,7 @@ def _worker_obs_payload(
     a truncating backend recorded anything; metric deltas and spans only
     when collection is on, drained so the next point starts from zero.
     """
-    payload: dict[str, Any] = {"pid": os.getpid(), "exec_s": time.monotonic() - started}
+    payload: dict[str, Any] = {"pid": os.getpid(), "exec_s": exec_s}
     if account:
         payload["error_account"] = account
     if _metrics.enabled:
@@ -298,8 +329,8 @@ def _worker_main(conn: connection.Connection) -> None:
 
     Receives ``(uid, task_ref, point, attempt, faults, obs_conf,
     overrides)`` messages over its private duplex pipe, executes, and replies
-    ``("ok", uid, value, None, obs)`` or ``("err", uid, info, exception,
-    obs)`` where ``obs`` piggybacks the point's telemetry (see
+    ``("ok", uid, value, None, obs)`` or ``("exception", uid, info,
+    exception, obs)`` where ``obs`` piggybacks the point's telemetry (see
     :func:`_worker_obs_payload`) — the hot path gains no extra syscalls.
     ``None`` is the stop sentinel.  Every task exception is *reported*,
     never fatal to the worker — only a hard death (kill/exit/segfault)
@@ -325,45 +356,20 @@ def _worker_main(conn: connection.Connection) -> None:
             break
         uid, task_ref, point, attempt, faults, obs_conf, overrides = message
         _sync_worker_obs(obs_conf)
-        started = time.monotonic()
-        acct = _budget.ErrorAccount()
+        kind, payload, exc, exec_s, account = _attempt(
+            task_ref, point, attempt, faults, overrides, in_worker=True
+        )
+        obs = _worker_obs_payload(exec_s, account)
         try:
-            with _budget.scoped(acct):
-                if _tracing.enabled:
-                    with _tracing.span("point", index=point.index, attempt=attempt):
-                        value = _execute_point(
-                            task_ref,
-                            point,
-                            attempt,
-                            faults,
-                            in_worker=True,
-                            overrides=overrides,
-                        )
-                else:
-                    value = _execute_point(
-                        task_ref,
-                        point,
-                        attempt,
-                        faults,
-                        in_worker=True,
-                        overrides=overrides,
-                    )
-        except BaseException as exc:
-            obs = _worker_obs_payload(started, acct.summary())
-            info = _describe_error(exc)
-            try:
-                conn.send(("err", uid, info, exc, obs))
-            except Exception:
-                try:
-                    conn.send(("err", uid, info, None, obs))
-                except Exception:
-                    break
-            continue
-        obs = _worker_obs_payload(started, acct.summary())
-        try:
-            conn.send(("ok", uid, value, None, obs))
+            conn.send((kind, uid, payload, exc, obs))
         except Exception:
-            break
+            # An exception object that will not pickle still reports by
+            # its description; a reply that cannot be sent at all ends
+            # the worker, which the supervisor sees as a crash.
+            try:
+                conn.send((kind, uid, payload, None, obs))
+            except Exception:
+                break
     try:
         conn.close()
     except OSError:
@@ -576,15 +582,41 @@ class _Worker:
     def __init__(self, ctx: Any) -> None:
         self.process, self.conn = _spawn_worker_process(ctx)
         #: ``(run, dispatch, uid)`` while busy, else ``None``.
-        self.item: tuple[_SupervisedRun, _Dispatch, int] | None = None
+        self.item: tuple[_Run, _Dispatch, int] | None = None
         #: ``time.monotonic()`` deadline for the in-flight point.
         self.deadline: float | None = None
 
+    def stop(self) -> None:
+        """Close the pipe, then terminate (or kill) a live process."""
+        try:
+            self.conn.close()
+        except OSError:
+            pass
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(1.0)
+            if self.process.is_alive():  # pragma: no cover - stubborn
+                self.process.kill()
+                self.process.join(1.0)
+
 
 class _Dispatch:
-    """One point's execution lifecycle inside a supervised run."""
+    """One point's attempt state machine, driven by serial and pool alike.
+
+    :meth:`start` opens an execution and returns its attempt number —
+    the execution count, escalated re-runs and crash re-dispatches
+    included, which is what :meth:`FaultPlan.fault_for` and the retry
+    backoff are keyed on.  :meth:`record` folds the execution's
+    telemetry in, and :meth:`settle` maps its outcome to the next
+    action under the run's policy and error budget.  The ``retries`` /
+    ``escalations`` counters and the ``exec_attempts`` /
+    ``exec_retries`` / ``exec_escalations`` / ``exec_crashes`` metrics
+    are bumped only here, so a serial and a pooled run of one campaign
+    take — and count — the same decisions.
+    """
 
     __slots__ = (
+        "run",
         "point",
         "tries",
         "failures",
@@ -599,7 +631,8 @@ class _Dispatch:
         "account",
     )
 
-    def __init__(self, point: CampaignPoint) -> None:
+    def __init__(self, run: _Run, point: CampaignPoint) -> None:
+        self.run = run
         self.point = point
         self.tries = 0  # executions started (failures + crashes + successes)
         self.failures = 0  # completed attempts that raised or timed out
@@ -607,14 +640,129 @@ class _Dispatch:
         self.created = time.monotonic()  # when the point entered the queue
         self.first_sent: float | None = None  # first dispatch to a worker
         self.backoff_s = 0.0  # cumulative retry-backoff slept
-        self.exec_s = 0.0  # in-worker execution time, summed over attempts
-        self.pids: list[int] = []  # worker processes that ran the point
-        self.escalations = 0  # error-budget cap escalations (re-dispatches)
+        self.exec_s = 0.0  # execution time, summed over attempts
+        self.pids: list[int] = []  # processes that ran the point
+        self.escalations = 0  # error-budget cap escalations (re-runs)
         self.overrides: dict[str, Any] | None = None  # escalated cap kwargs
         self.account: dict[str, Any] | None = None  # last error account
 
+    def start(self) -> int:
+        """Count one execution; returns its attempt number."""
+        self.tries += 1
+        self.run.attempts[self.point.index] = self.tries
+        if _metrics.enabled:
+            _metrics.inc("exec_attempts")
+        return self.tries
+
+    def record(
+        self, pid: int | None, exec_s: float, account: dict[str, Any] | None
+    ) -> None:
+        """Fold one finished execution's telemetry into the point."""
+        self.exec_s += exec_s
+        # Latest execution wins: an escalated re-run's (smaller) account
+        # replaces the blown one, so timelines report the delivered error.
+        self.account = account
+        if pid is not None and pid not in self.pids:
+            self.pids.append(pid)
+
+    def settle(
+        self, kind: str, payload: Any = None, exc: BaseException | None = None
+    ) -> tuple[str, Any]:
+        """The action that follows one finished execution.
+
+        ``kind`` is ``"ok"`` (``payload`` is the value), ``"exception"``
+        (``payload`` is the error info, ``exc`` the exception when it
+        survived the pipe), ``"timeout"``, or ``"crash"`` (``payload``
+        is the dead worker's exit code).  Returns one of:
+
+        * ``("ok", value)`` — deliver the value;
+        * ``("rerun", None)`` — run again at the head of the queue: an
+          error-budget escalation (only under a ``target_error``, at
+          most ``policy.max_escalations`` times, after which the best
+          delivered result stands), or a crash within
+          ``policy.max_crashes``;
+        * ``("retry", delay)`` — run again after the policy's
+          deterministic backoff;
+        * ``("error", record)`` — a terminal failure, recorded;
+        * ``("raise", exception)`` — a terminal failure under
+          ``fail_fast``.
+        """
+        run = self.run
+        policy = run.policy
+        if kind == "ok":
+            caps = None
+            if (
+                run.target_error is not None
+                and self.escalations < policy.max_escalations
+            ):
+                caps = _escalated_caps(self.account, self.overrides, run.target_error)
+            if caps is None:
+                return "ok", payload
+            self.escalations += 1
+            self.overrides = caps
+            run.counters["escalations"] += 1
+            if _metrics.enabled:
+                _metrics.inc("exec_escalations")
+            return "rerun", None
+        if kind == "crash":
+            self.crashes += 1
+            if _metrics.enabled:
+                _metrics.inc("exec_crashes")
+            if self.crashes <= policy.max_crashes:
+                return "rerun", None
+            info = {
+                "error_type": "WorkerCrashError",
+                "message": (
+                    f"worker process died (exit code {payload}) with point "
+                    f"{self.point.index} in flight, {self.crashes} "
+                    f"deaths total (max_crashes={policy.max_crashes})"
+                ),
+                "traceback": None,
+            }
+        else:
+            self.failures += 1
+            if policy.mode == "retry" and self.failures < policy.max_attempts:
+                run.counters["retries"] += 1
+                if _metrics.enabled:
+                    _metrics.inc("exec_retries")
+                delay = policy.backoff_delay(self.point, self.tries)
+                self.backoff_s += delay
+                return "retry", delay
+            info = payload
+            if kind == "timeout":
+                info = {
+                    "error_type": "PointTimeoutError",
+                    "message": (
+                        f"point {self.point.index} exceeded its "
+                        f"{policy.timeout}s per-point timeout"
+                    ),
+                    "traceback": None,
+                }
+        if policy.mode == "fail_fast":
+            if exc is None:
+                exc = SimulationError(
+                    f"campaign point {self.point.index} failed "
+                    f"({kind}): {info['message']}"
+                )
+            return "raise", exc
+        point = self.point
+        record = {
+            "index": point.index,
+            "key": point.key,
+            "params": _safe_jsonable(point.params),
+            "seed": point.seed,
+            "kind": kind,
+            "attempts": self.failures,
+            "crashes": self.crashes,
+            "backoff_s": self.backoff_s,
+            "error_type": info.get("error_type"),
+            "message": info.get("message"),
+            "traceback": info.get("traceback"),
+        }
+        return "error", record
+
     def meta(self) -> dict[str, Any]:
-        """The point's timeline fields (supervisor-side view)."""
+        """The point's timeline fields."""
         sent = self.first_sent if self.first_sent is not None else self.created
         out: dict[str, Any] = {
             "queue_wait_s": max(0.0, sent - self.created),
@@ -630,24 +778,30 @@ class _Dispatch:
         return out
 
 
-class _SupervisedRun:
-    """The supervisor-side state of one submitted campaign."""
+class _Run:
+    """The computed points of one submitted campaign, serial or pooled.
+
+    ``pool`` is the :class:`_SupervisedPool` dispatching the points, or
+    ``None`` when :func:`_serial_events` runs them in-process.
+    """
 
     def __init__(
         self,
-        pool: _SupervisedPool,
         task_ref: str,
         pending: Iterable[CampaignPoint],
         policy: FailurePolicy,
         faults: FaultPlan | None,
-        target_error: float | None = None,
+        target_error: float | None,
+        counters: dict[str, int],
     ) -> None:
-        self.pool = pool
+        self.pool: _SupervisedPool | None = None
         self.task_ref = task_ref
         self.policy = policy
         self.faults = faults
         self.target_error = target_error
-        self.ready: deque[_Dispatch] = deque(_Dispatch(p) for p in pending)
+        #: the executor's lifetime counters (retries, escalations, ...).
+        self.counters = counters
+        self.ready: deque[_Dispatch] = deque(_Dispatch(self, p) for p in pending)
         #: heap of (ready_at, seq, dispatch) backoff waits.
         self.waiting: list[tuple[float, int, _Dispatch]] = []
         self.inflight = 0
@@ -657,10 +811,34 @@ class _SupervisedRun:
         self.abandoned = False
         #: point.index -> executions started (for retry-budget assertions).
         self.attempts: dict[int, int] = {}
+        self._seq = itertools.count()
 
     @property
     def outstanding(self) -> bool:
         return bool(self.ready or self.waiting or self.inflight)
+
+    def settle(
+        self,
+        dispatch: _Dispatch,
+        kind: str,
+        payload: Any = None,
+        exc: BaseException | None = None,
+    ) -> None:
+        """Queue whatever :meth:`_Dispatch.settle` decides for an execution."""
+        action, arg = dispatch.settle(kind, payload, exc)
+        if action == "rerun":
+            # Head of the queue: neither a worker's death nor an
+            # escalation costs the point its scheduling priority.
+            self.ready.appendleft(dispatch)
+        elif action == "retry":
+            heapq.heappush(
+                self.waiting, (time.monotonic() + arg, next(self._seq), dispatch)
+            )
+        elif action == "raise":
+            self.failure = arg
+            self.abandon()
+        else:
+            self.events.append((dispatch.point, (action, arg), dispatch.meta()))
 
     def abandon(self) -> None:
         """Stop scheduling; in-flight completions will be discarded."""
@@ -688,25 +866,17 @@ class _SupervisedPool:
         self._ctx = ctx
         self._counters = counters
         self._workers = [_Worker(ctx) for _ in range(width)]
-        self._runs: list[_SupervisedRun] = []
+        self._runs: list[_Run] = []
         self._uids = itertools.count()
-        self._seq = itertools.count()
 
     # -- public surface ------------------------------------------------
-    def submit(
-        self,
-        task_ref: str,
-        pending: Iterable[CampaignPoint],
-        policy: FailurePolicy,
-        faults: FaultPlan | None,
-        target_error: float | None = None,
-    ) -> _SupervisedRun:
-        run = _SupervisedRun(self, task_ref, pending, policy, faults, target_error)
+    def submit(self, run: _Run) -> None:
+        """Take over a run's points and start dispatching them."""
+        run.pool = self
         self._runs.append(run)
         self._dispatch()
-        return run
 
-    def next_event(self, run: _SupervisedRun) -> _Event | None:
+    def next_event(self, run: _Run) -> _Event | None:
         """The run's next completion event, pumping the pool as needed.
 
         Returns ``(point, outcome, meta)`` with ``outcome`` either
@@ -758,22 +928,13 @@ class _SupervisedPool:
                 if worker.process.is_alive():
                     graceful = False
         for worker in self._workers:
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(1.0)
-                if worker.process.is_alive():  # pragma: no cover - stubborn
-                    worker.process.kill()
-                    worker.process.join(1.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            worker.stop()
         self._workers = []
         self._runs = []
         return graceful
 
     # -- scheduling ----------------------------------------------------
-    def _forget(self, run: _SupervisedRun) -> None:
+    def _forget(self, run: _Run) -> None:
         if run in self._runs:
             self._runs.remove(run)
 
@@ -784,7 +945,7 @@ class _SupervisedPool:
                 _, _, dispatch = heapq.heappop(run.waiting)
                 run.ready.append(dispatch)
 
-    def _next_ready(self) -> tuple[_SupervisedRun, _Dispatch] | None:
+    def _next_ready(self) -> tuple[_Run, _Dispatch] | None:
         for run in self._runs:
             if run.abandoned or run.failure is not None:
                 continue
@@ -803,54 +964,45 @@ class _SupervisedPool:
             run, dispatch = picked
             self._send(worker, run, dispatch)
 
-    def _send(
-        self, worker: _Worker, run: _SupervisedRun, dispatch: _Dispatch
-    ) -> None:
+    def _send(self, worker: _Worker, run: _Run, dispatch: _Dispatch) -> None:
+        obs_conf = (
+            (_metrics.enabled, _tracing.enabled, _profiling.enabled)
+            if (_metrics.enabled or _tracing.enabled or _profiling.enabled)
+            else None
+        )
+        uid = next(self._uids)
+        attempt = dispatch.start()
+        message = (
+            uid,
+            run.task_ref,
+            dispatch.point,
+            attempt,
+            run.faults,
+            obs_conf,
+            dispatch.overrides,
+        )
         while True:
-            dispatch.tries += 1
-            run.attempts[dispatch.point.index] = dispatch.tries
-            uid = next(self._uids)
-            obs_conf = (
-                (_metrics.enabled, _tracing.enabled, _profiling.enabled)
-                if (_metrics.enabled or _tracing.enabled or _profiling.enabled)
-                else None
-            )
             try:
-                worker.conn.send(
-                    (
-                        uid,
-                        run.task_ref,
-                        dispatch.point,
-                        dispatch.tries,
-                        run.faults,
-                        obs_conf,
-                        dispatch.overrides,
-                    )
-                )
+                worker.conn.send(message)
+                break
             except (OSError, ValueError):
                 # The worker died while idle (or its pipe tore): the
-                # dispatch never reached it — roll the attempt back,
-                # respawn, and try again on the fresh process.
-                dispatch.tries -= 1
-                run.attempts[dispatch.point.index] = dispatch.tries
+                # message never reached it — respawn and resend.
                 self._respawn(worker)
-                continue
-            if dispatch.first_sent is None:
-                dispatch.first_sent = time.monotonic()
-            pid = worker.process.pid
-            if pid is not None and pid not in dispatch.pids:
-                dispatch.pids.append(pid)
-            if _metrics.enabled:
-                _metrics.inc("exec_dispatches")
-                _metrics.inc("exec_attempts")
-            worker.item = (run, dispatch, uid)
-            worker.deadline = (
-                time.monotonic() + run.policy.timeout
-                if run.policy.timeout is not None
-                else None
-            )
-            run.inflight += 1
-            return
+        if dispatch.first_sent is None:
+            dispatch.first_sent = time.monotonic()
+        pid = worker.process.pid
+        if pid is not None and pid not in dispatch.pids:
+            dispatch.pids.append(pid)
+        if _metrics.enabled:
+            _metrics.inc("exec_dispatches")
+        worker.item = (run, dispatch, uid)
+        worker.deadline = (
+            time.monotonic() + run.policy.timeout
+            if run.policy.timeout is not None
+            else None
+        )
+        run.inflight += 1
 
     def _next_backoff_delta(self, now: float) -> float | None:
         ready_ats = [run.waiting[0][0] for run in self._runs if run.waiting]
@@ -885,14 +1037,8 @@ class _SupervisedPool:
             by_object[worker.process.sentinel] = worker
             wait_on.extend((worker.conn, worker.process.sentinel))
         ready = connection.wait(wait_on, timeout)
-        woken: list[_Worker] = []
-        seen: set[int] = set()
-        for obj in ready:
-            worker = by_object[obj]
-            if id(worker) not in seen:
-                seen.add(id(worker))
-                woken.append(worker)
-        for worker in woken:
+        # A worker whose pipe and sentinel both fired is handled once.
+        for worker in dict.fromkeys(by_object[obj] for obj in ready):
             if worker.item is None:
                 continue
             # A message beats a death verdict: a worker that finished its
@@ -918,7 +1064,7 @@ class _SupervisedPool:
         self._dispatch()
 
     # -- outcome handling ----------------------------------------------
-    def _release(self, worker: _Worker) -> tuple[_SupervisedRun, _Dispatch, int]:
+    def _release(self, worker: _Worker) -> tuple[_Run, _Dispatch, int]:
         assert worker.item is not None  # only called for busy workers
         run, dispatch, uid = worker.item
         worker.item = None
@@ -926,15 +1072,15 @@ class _SupervisedPool:
         run.inflight -= 1
         return run, dispatch, uid
 
-    def _absorb_obs(self, dispatch: _Dispatch, obs: dict[str, Any]) -> None:
-        """Fold a worker's piggybacked telemetry into supervisor state."""
-        dispatch.exec_s += float(obs.get("exec_s", 0.0))
-        # Latest execution wins: an escalated re-run's (smaller) account
-        # replaces the blown one, so timelines report the delivered error.
-        dispatch.account = obs.get("error_account")
-        pid = obs.get("pid")
-        if pid is not None and pid not in dispatch.pids:
-            dispatch.pids.append(pid)
+    def _on_message(self, worker: _Worker, message: tuple[Any, ...]) -> None:
+        kind, uid, payload, exc, obs = message
+        run, dispatch, expected = self._release(worker)
+        if uid != expected or run.abandoned:
+            return
+        # Fold the worker's piggybacked telemetry into supervisor state.
+        dispatch.record(
+            obs.get("pid"), float(obs["exec_s"]), obs.get("error_account")
+        )
         snap = obs.get("metrics")
         if snap:
             _metrics.REGISTRY.merge(snap)
@@ -944,156 +1090,26 @@ class _SupervisedPool:
         profiles = obs.get("profile")
         if profiles:
             _profiling.add_raw(profiles)
-
-    def _on_message(self, worker: _Worker, message: tuple[Any, ...]) -> None:
-        kind, uid, payload, exc, obs = message
-        run, dispatch, expected = self._release(worker)
-        if uid != expected or run.abandoned:
-            return
-        if obs:
-            self._absorb_obs(dispatch, obs)
-        if kind == "ok":
-            if self._maybe_escalate(run, dispatch):
-                return
-            run.events.append((dispatch.point, ("ok", payload), dispatch.meta()))
-        else:
-            self._on_failed_attempt(run, dispatch, "exception", payload, exc)
-
-    def _maybe_escalate(self, run: _SupervisedRun, dispatch: _Dispatch) -> bool:
-        """Re-dispatch a successful point whose error blew its budget.
-
-        Only runs with a ``target_error`` contract escalate; the count
-        is bounded by the policy's ``max_escalations``, after which the
-        best delivered result stands (the timeline's flattened error
-        account shows by how much it missed).
-        """
-        if run.target_error is None:
-            return False
-        if dispatch.escalations >= run.policy.max_escalations:
-            return False
-        caps = _escalated_caps(dispatch.account, dispatch.overrides, run.target_error)
-        if caps is None:
-            return False
-        dispatch.escalations += 1
-        dispatch.overrides = caps
-        self._counters["escalations"] += 1
-        if _metrics.enabled:
-            _metrics.inc("exec_escalations")
-        # Head of the queue, like crash recovery: escalation must not
-        # cost the point its scheduling priority.
-        run.ready.appendleft(dispatch)
-        return True
+        run.settle(dispatch, kind, payload, exc)
 
     def _on_crash(self, worker: _Worker) -> None:
         run, dispatch, _uid = self._release(worker)
         exitcode = worker.process.exitcode
         self._respawn(worker)
-        if run.abandoned:
-            return
-        dispatch.crashes += 1
-        if _metrics.enabled:
-            _metrics.inc("exec_crashes")
-        if dispatch.crashes <= run.policy.max_crashes:
-            # Re-dispatch at the head of the queue: the point loses no
-            # scheduling priority to its worker's death.
-            run.ready.appendleft(dispatch)
-            return
-        info = {
-            "error_type": "WorkerCrashError",
-            "message": (
-                f"worker process died (exit code {exitcode}) with point "
-                f"{dispatch.point.index} in flight, {dispatch.crashes} "
-                f"deaths total (max_crashes={run.policy.max_crashes})"
-            ),
-            "traceback": None,
-        }
-        self._terminal_failure(run, dispatch, "crash", info, None)
+        if not run.abandoned:
+            run.settle(dispatch, "crash", exitcode)
 
     def _on_timeout(self, worker: _Worker) -> None:
         run, dispatch, _uid = self._release(worker)
         self._counters["timeouts"] += 1
         if _metrics.enabled:
             _metrics.inc("exec_timeouts")
-        worker.process.terminate()
-        worker.process.join(1.0)
-        if worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join(1.0)
-        self._respawn(worker)
-        if run.abandoned:
-            return
-        info = {
-            "error_type": "PointTimeoutError",
-            "message": (
-                f"point {dispatch.point.index} exceeded its "
-                f"{run.policy.timeout}s per-point timeout"
-            ),
-            "traceback": None,
-        }
-        self._on_failed_attempt(run, dispatch, "timeout", info, None)
-
-    def _on_failed_attempt(
-        self,
-        run: _SupervisedRun,
-        dispatch: _Dispatch,
-        kind: str,
-        info: dict[str, Any],
-        exc: BaseException | None,
-    ) -> None:
-        """A completed attempt raised or timed out: retry or terminalise."""
-        dispatch.failures += 1
-        policy = run.policy
-        if policy.mode == "retry" and dispatch.failures < policy.max_attempts:
-            self._counters["retries"] += 1
-            if _metrics.enabled:
-                _metrics.inc("exec_retries")
-            delay = policy.backoff_delay(dispatch.point, dispatch.tries)
-            dispatch.backoff_s += delay
-            heapq.heappush(
-                run.waiting,
-                (time.monotonic() + delay, next(self._seq), dispatch),
-            )
-            return
-        self._terminal_failure(run, dispatch, kind, info, exc)
-
-    def _terminal_failure(
-        self,
-        run: _SupervisedRun,
-        dispatch: _Dispatch,
-        kind: str,
-        info: dict[str, Any],
-        exc: BaseException | None,
-    ) -> None:
-        if run.policy.mode == "fail_fast":
-            run.failure = (
-                exc
-                if exc is not None
-                else SimulationError(
-                    f"campaign point {dispatch.point.index} failed "
-                    f"({kind}): {info['message']}"
-                )
-            )
-            run.abandon()
-            return
-        run.events.append(
-            (
-                dispatch.point,
-                ("error", _error_record(dispatch, kind, info)),
-                dispatch.meta(),
-            )
-        )
+        self._respawn(worker)  # kills the overdue worker first
+        if not run.abandoned:
+            run.settle(dispatch, "timeout")
 
     def _respawn(self, worker: _Worker) -> None:
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        if worker.process.is_alive():  # pragma: no cover - defensive
-            worker.process.terminate()
-            worker.process.join(1.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(1.0)
+        worker.stop()
         worker.process, worker.conn = _spawn_worker_process(self._ctx)
         worker.item = None
         worker.deadline = None
@@ -1102,154 +1118,40 @@ class _SupervisedPool:
             _metrics.inc("exec_respawns")
 
 
-def _error_record(
-    dispatch: _Dispatch, kind: str, info: dict[str, Any]
-) -> dict[str, Any]:
-    """The structured, JSON-safe record of one point's terminal failure."""
-    point = dispatch.point
-    return {
-        "index": point.index,
-        "key": point.key,
-        "params": _safe_jsonable(point.params),
-        "seed": point.seed,
-        "kind": kind,
-        "attempts": dispatch.failures,
-        "crashes": dispatch.crashes,
-        "backoff_s": dispatch.backoff_s,
-        "error_type": info.get("error_type"),
-        "message": info.get("message"),
-        "traceback": info.get("traceback"),
-    }
+def _serial_events(run: _Run) -> Iterator[_Event]:
+    """Run a campaign's points in-process through the pool's state machine.
 
-
-def _serial_error_record(
-    point: CampaignPoint,
-    kind: str,
-    info: dict[str, Any],
-    failures: int,
-    backoff_s: float = 0.0,
-) -> dict[str, Any]:
-    dispatch = _Dispatch(point)
-    dispatch.failures = failures
-    dispatch.backoff_s = backoff_s
-    return _error_record(dispatch, kind, info)
-
-
-def _serial_events(
-    task_ref: str,
-    pending: Iterable[CampaignPoint],
-    policy: FailurePolicy,
-    faults: FaultPlan | None,
-    counters: dict[str, int],
-    attempts: dict[int, int],
-    target_error: float | None = None,
-) -> Iterator[_Event]:
-    """In-process execution honouring the failure policy (no timeouts).
-
-    Yields ``(point, outcome, meta)`` like the supervised pool.  Kill
-    faults are skipped (never kill the host process); retry backoff
-    sleeps deterministically; error-budget escalation re-runs points
-    with the same cap schedule as the supervised pool, so serial and
-    parallel escalated campaigns stay bit-identical.  Telemetry needs no
-    piggybacking here — the task runs in the consumer's own process, so
-    instrumented code records straight into the live registry and trace
-    buffer.
+    Yields ``(point, outcome, meta)`` like the supervised pool.  Points
+    run one at a time, each to completion: a retry sleeps out its
+    backoff, an escalation re-runs at once.  Kill faults are skipped
+    (never kill the host process) and timeouts are not enforced (nothing
+    can pre-empt the running task), so ``crashes`` stays 0, ``pids`` is
+    this process and ``queue_wait_s`` is 0.  Telemetry needs no
+    piggybacking: the task records straight into the live registry and
+    trace buffer.
     """
     pid = os.getpid()
-    for point in pending:
-        failures = 0
-        backoff = 0.0
-        exec_s = 0.0
-        executions = 0
-        escalations = 0
-        overrides: dict[str, Any] | None = None
-        while True:
-            attempt = failures + 1
-            executions += 1
-            attempts[point.index] = executions
-            if _metrics.enabled:
-                _metrics.inc("exec_attempts")
-            started = time.monotonic()
-            acct = _budget.ErrorAccount()
-            try:
-                with _budget.scoped(acct):
-                    if _tracing.enabled:
-                        with _tracing.span(
-                            "point", index=point.index, attempt=attempt
-                        ):
-                            value = _execute_point(
-                                task_ref,
-                                point,
-                                attempt,
-                                faults,
-                                in_worker=False,
-                                overrides=overrides,
-                            )
-                    else:
-                        value = _execute_point(
-                            task_ref,
-                            point,
-                            attempt,
-                            faults,
-                            in_worker=False,
-                            overrides=overrides,
-                        )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                exec_s += time.monotonic() - started
-                failures += 1
-                if policy.mode == "retry" and failures < policy.max_attempts:
-                    counters["retries"] += 1
-                    if _metrics.enabled:
-                        _metrics.inc("exec_retries")
-                    delay = policy.backoff_delay(point, attempt)
-                    backoff += delay
-                    time.sleep(delay)
-                    continue
-                if policy.mode == "fail_fast":
-                    raise
-                record = _serial_error_record(
-                    point, "exception", _describe_error(exc), failures, backoff
-                )
-                meta = {
-                    "queue_wait_s": 0.0,
-                    "exec_s": exec_s,
-                    "backoff_s": backoff,
-                    "attempts": executions,
-                    "crashes": 0,
-                    "pids": [pid],
-                    "escalations": escalations,
-                }
-                account = acct.summary()
-                if account:
-                    meta.update(account)
-                yield point, ("error", record), meta
-                break
-            exec_s += time.monotonic() - started
-            if target_error is not None and escalations < policy.max_escalations:
-                caps = _escalated_caps(acct.summary(), overrides, target_error)
-                if caps is not None:
-                    escalations += 1
-                    overrides = caps
-                    counters["escalations"] += 1
-                    if _metrics.enabled:
-                        _metrics.inc("exec_escalations")
-                    continue
-            meta = {
-                "queue_wait_s": 0.0,
-                "exec_s": exec_s,
-                "backoff_s": backoff,
-                "attempts": executions,
-                "crashes": 0,
-                "pids": [pid],
-                "escalations": escalations,
-            }
-            account = acct.summary()
-            if account:
-                meta.update(account)
-            yield point, ("ok", value), meta
-            break
+    while run.ready or run.waiting:
+        if run.waiting:
+            ready_at, _, dispatch = heapq.heappop(run.waiting)
+            time.sleep(max(0.0, ready_at - time.monotonic()))
+        else:
+            dispatch = run.ready.popleft()
+        attempt = dispatch.start()
+        kind, payload, exc, exec_s, account = _attempt(
+            run.task_ref,
+            dispatch.point,
+            attempt,
+            run.faults,
+            dispatch.overrides,
+            in_worker=False,
+        )
+        dispatch.record(pid, exec_s, account)
+        run.settle(dispatch, kind, payload, exc)
+        while run.events:
+            yield run.events.popleft()
+        if run.failure is not None:
+            raise run.failure
 
 
 def _preregister_exec_metrics() -> None:
@@ -1295,21 +1197,16 @@ class CampaignHandle:
         pending: list[CampaignPoint],
         cache: ResultCache | None,
         checkpoint_path: Path | None,
-        run: _SupervisedRun | None,
-        policy: FailurePolicy,
-        faults: FaultPlan | None,
+        run: _Run,
         start: float,
         fingerprint: str | None = None,
         ledger: RunLedger | None = None,
-        target_error: float | None = None,
     ) -> None:
         self._executor = executor
         self._campaign = campaign
         self._points = points
         self._cache = cache
         self._checkpoint_path = checkpoint_path
-        self._policy = policy
-        self._faults = faults
         # Clock starts when submit() began, so duration_s covers the
         # cache/checkpoint hit resolution too (a fully-cached campaign's
         # cost IS that scan).
@@ -1320,12 +1217,9 @@ class CampaignHandle:
         self._timeline: dict[int, dict[str, Any]] = {}
         self._callbacks: list[Callable[[CampaignPoint, Any], None]] = []
         self._run = run
-        self._pool_backed = run is not None
-        self._serial_attempts: dict[int, int] = {}
         self._failed: BaseException | None = None
         self._fingerprint = fingerprint
         self._ledger = ledger
-        self._target_error = target_error
         self._ledger_written = False
         self._started_at = time.time()
         self.cache_hits = sum(1 for hit in hits if hit.source == "cache")
@@ -1334,8 +1228,8 @@ class CampaignHandle:
         # Effective pool width: a campaign whose pending work is 0 or 1
         # points runs in-process (reported as serial), exactly like the
         # one-shot runner always did.
-        self.workers = executor.workers if run is not None else 1
-        self._events = self._event_stream(hits, pending, run)
+        self.workers = executor.workers if run.pool is not None else 1
+        self._events = self._event_stream(hits, pending)
 
     @property
     def name(self) -> str:
@@ -1350,7 +1244,7 @@ class CampaignHandle:
     @property
     def policy(self) -> FailurePolicy:
         """The failure policy governing this submission."""
-        return self._policy
+        return self._run.policy
 
     @property
     def fingerprint(self) -> str | None:
@@ -1365,19 +1259,14 @@ class CampaignHandle:
     @property
     def attempts(self) -> dict[int, int]:
         """Executions started per point index (computed points only)."""
-        if self._run is not None:
-            return dict(self._run.attempts)
-        return dict(self._serial_attempts)
+        return dict(self._run.attempts)
 
     def __len__(self) -> int:
         return len(self._points)
 
     # -- event production ------------------------------------------------
     def _event_stream(
-        self,
-        hits: list[PointResult],
-        pending: list[CampaignPoint],
-        run: _SupervisedRun | None,
+        self, hits: list[PointResult], pending: list[CampaignPoint]
     ) -> Iterator[PointResult]:
         """Yield :class:`PointResult` events in completion order.
 
@@ -1401,52 +1290,29 @@ class CampaignHandle:
             if self._checkpoint_path is not None:
                 self._checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
                 checkpoint_handle = self._checkpoint_path.open("a")
+            run = self._run
             source: Iterable[_Event]
-            if run is None:
-                source = _serial_events(
-                    self._campaign.task_reference,
-                    pending,
-                    self._policy,
-                    self._faults,
-                    self._executor._counters,
-                    self._serial_attempts,
-                    self._target_error,
-                )
+            if run.pool is None:
+                source = _serial_events(run)
             else:
-                source = iter(lambda: run.pool.next_event(run), None)
-            for point, outcome, meta in source:
-                if outcome[0] == "ok":
-                    value = outcome[1]
-                    put_s = self._record(point, value, checkpoint_handle)
-                    self._timeline[point.index] = {
-                        "index": point.index,
-                        "source": "computed",
-                        "ok": True,
-                        "cache_put_s": put_s,
-                        **meta,
-                    }
-                    if _metrics.enabled:
-                        _metrics.inc("exec_points", source="computed")
-                        _metrics.observe(
-                            "exec_point_s", meta["exec_s"], outcome="ok"
-                        )
-                    yield PointResult(point, value, "computed")
+                source = iter(functools.partial(run.pool.next_event, run), None)
+            for point, (status, payload), meta in source:
+                ok = status == "ok"
+                put_s = self._record(point, ok, payload, checkpoint_handle)
+                self._timeline[point.index] = {
+                    "index": point.index,
+                    "source": "computed",
+                    "ok": ok,
+                    "cache_put_s": put_s,
+                    **meta,
+                }
+                if _metrics.enabled:
+                    _metrics.inc("exec_points", source="computed")
+                    _metrics.observe("exec_point_s", meta["exec_s"], outcome=status)
+                if ok:
+                    yield PointResult(point, payload, "computed")
                 else:
-                    record = outcome[1]
-                    self._record_error(point, record, checkpoint_handle)
-                    self._timeline[point.index] = {
-                        "index": point.index,
-                        "source": "computed",
-                        "ok": False,
-                        "cache_put_s": None,
-                        **meta,
-                    }
-                    if _metrics.enabled:
-                        _metrics.inc("exec_points", source="computed")
-                        _metrics.observe(
-                            "exec_point_s", meta["exec_s"], outcome="error"
-                        )
-                    yield PointResult(point, None, "computed", False, record)
+                    yield PointResult(point, None, "computed", False, payload)
             # Reached only when every point resolved: abandoned or failed
             # streams leave no ledger record (a partial run is not a
             # sample the autopilot should ever calibrate against).
@@ -1456,31 +1322,34 @@ class CampaignHandle:
                 checkpoint_handle.close()
 
     def _record(
-        self, point: CampaignPoint, value: Any, checkpoint_handle: IO[str] | None
+        self,
+        point: CampaignPoint,
+        ok: bool,
+        payload: Any,
+        checkpoint_handle: IO[str] | None,
     ) -> float | None:
+        """Store one computed point; returns the cache write time, if any.
+
+        A value is cached and checkpointed; a terminal failure's record
+        is never cached, only checkpointed as an error.
+        """
         self.computed += 1
         self._executor._points_computed += 1
+        if not ok:
+            self._errors[point.index] = payload
+            if checkpoint_handle is not None:
+                _append_checkpoint(
+                    checkpoint_handle, point, status="error", error=payload
+                )
+            return None
         put_s = None
         if self._cache is not None:
             put_started = time.monotonic()
-            self._cache.put(point.key, value)
+            self._cache.put(point.key, payload)
             put_s = time.monotonic() - put_started
         if checkpoint_handle is not None:
-            _append_checkpoint(checkpoint_handle, point, value)
+            _append_checkpoint(checkpoint_handle, point, payload)
         return put_s
-
-    def _record_error(
-        self,
-        point: CampaignPoint,
-        record: dict[str, Any],
-        checkpoint_handle: IO[str] | None,
-    ) -> None:
-        """A terminal failure: never cached, checkpointed as an error."""
-        self.computed += 1
-        self._executor._points_computed += 1
-        self._errors[point.index] = record
-        if checkpoint_handle is not None:
-            _append_checkpoint(checkpoint_handle, point, status="error", error=record)
 
     def _advance(self) -> PointResult:
         if self._failed is not None:
@@ -1491,7 +1360,7 @@ class CampaignHandle:
                 f"campaign {self.name!r} already failed: {self._failed!r}"
             ) from self._failed
         if (
-            self._pool_backed
+            self._run.pool is not None
             and self._executor._closed
             and len(self._seen) < len(self._points)
         ):
@@ -1508,8 +1377,7 @@ class CampaignHandle:
             raise
         except BaseException as exc:
             self._failed = exc
-            if self._run is not None:
-                self._run.abandon()
+            self._run.abandon()
             raise
         self._seen.append(event)
         self._values[event.point.index] = event.value
@@ -1602,7 +1470,7 @@ class CampaignHandle:
         terminal error records, the final metrics snapshot, and — when
         profiling was on — the merged hot-path table.
         """
-        policy = self._policy
+        policy = self._run.policy
         return {
             "fingerprint": self._fingerprint,
             "name": self.name,
@@ -1617,7 +1485,7 @@ class CampaignHandle:
                 "max_crashes": policy.max_crashes,
                 "max_escalations": policy.max_escalations,
             },
-            "target_error": self._target_error,
+            "target_error": self._run.target_error,
             "workers": self.workers,
             "env": {
                 "cpu_count": os.cpu_count(),
@@ -1754,10 +1622,6 @@ class CampaignExecutor:
             (streaming still works — points are computed lazily).
         cache: default :class:`ResultCache` (or directory path) applied
             to every submission unless overridden per call.
-        chunk_size: retained for API compatibility; supervised dispatch
-            is always per point (the scheduling quantum chunking used to
-            amortise no longer exists), so this knob is accepted and
-            ignored.
         policy: default :class:`FailurePolicy` (or mode string) for
             submissions that don't pass their own.
         http_port: serve live telemetry (``/metrics``, ``/status``,
@@ -1792,7 +1656,6 @@ class CampaignExecutor:
         workers: int | None = None,
         *,
         cache: ResultCache | str | Path | None = None,
-        chunk_size: int | None = None,
         policy: FailurePolicy | str | None = None,
         http_port: int | None = None,
         ledger: RunLedger | str | Path | bool | None = None,
@@ -1805,7 +1668,6 @@ class CampaignExecutor:
         if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
         self.cache = cache
-        self.chunk_size = chunk_size
         self.policy = FailurePolicy.coerce(policy)
         self._pool: _SupervisedPool | None = None
         self._closed = False
@@ -1934,7 +1796,6 @@ class CampaignExecutor:
         *,
         cache: ResultCache | str | Path | None = _UNSET,
         checkpoint: str | Path | None = None,
-        chunk_size: int | None = None,
         policy: FailurePolicy | str | None = None,
         faults: FaultPlan | None = None,
         ledger: RunLedger | str | Path | bool | None = _UNSET,
@@ -1957,8 +1818,6 @@ class CampaignExecutor:
             checkpoint: JSON-lines resume file, replayed then appended.
                 Records are status-tagged: successes replay verbatim on
                 resume, error records are retried.
-            chunk_size: accepted for compatibility, ignored (supervised
-                dispatch is per point).
             policy: :class:`FailurePolicy` (or mode string) for this
                 submission; defaults to the executor's policy.
             faults: a :class:`repro.exec.faults.FaultPlan` injecting
@@ -1979,7 +1838,6 @@ class CampaignExecutor:
         """
         if self._closed:
             raise SimulationError("executor is closed")
-        del chunk_size  # per-point supervised dispatch: nothing to chunk
         start = time.perf_counter()
         if _metrics.enabled:
             _preregister_exec_metrics()
@@ -2011,15 +1869,19 @@ class CampaignExecutor:
                 continue
             pending.append(point)
 
-        run: _SupervisedRun | None = None
+        run = _Run(
+            campaign.task_reference,
+            pending,
+            effective,
+            faults,
+            target_error,
+            self._counters,
+        )
         if self.workers > 1 and len(pending) > 1:
             # Dispatch now: up to one point per worker starts immediately,
             # so workers make progress while the caller is off doing
             # something other than consuming the handle.
-            pool = self._ensure_pool()
-            run = pool.submit(
-                campaign.task_reference, pending, effective, faults, target_error
-            )
+            self._ensure_pool().submit(run)
         fingerprint = stable_hash(
             {
                 "task": campaign.task_reference,
@@ -2036,12 +1898,9 @@ class CampaignExecutor:
             cache=cache,
             checkpoint_path=checkpoint_path,
             run=run,
-            policy=effective,
-            faults=faults,
             start=start,
             fingerprint=fingerprint,
             ledger=self._resolve_ledger(cache, ledger),
-            target_error=target_error,
         )
         if self._server is not None:
             self._server.register(handle)
@@ -2054,7 +1913,6 @@ class CampaignExecutor:
         *,
         cache: ResultCache | str | Path | None = _UNSET,
         checkpoint: str | Path | None = None,
-        chunk_size: int | None = None,
         policy: FailurePolicy | str | None = None,
         faults: FaultPlan | None = None,
         ledger: RunLedger | str | Path | bool | None = _UNSET,
@@ -2065,7 +1923,6 @@ class CampaignExecutor:
             campaign,
             cache=cache,
             checkpoint=checkpoint,
-            chunk_size=chunk_size,
             policy=policy,
             faults=faults,
             ledger=ledger,
@@ -2119,7 +1976,6 @@ def run_campaign(
     workers: int | None = None,
     cache: ResultCache | str | Path | None = None,
     checkpoint: str | Path | None = None,
-    chunk_size: int | None = None,
     policy: FailurePolicy | str | None = None,
     faults: FaultPlan | None = None,
     target_error: float | None = None,
@@ -2145,8 +2001,6 @@ def run_campaign(
         checkpoint: JSON-lines file appended as points complete; an
             existing file is replayed first (resume after a kill), with
             corrupted lines skipped and error records retried.
-        chunk_size: accepted for compatibility, ignored (supervised
-            dispatch is per point).
         policy: :class:`FailurePolicy` (or mode string) governing task
             failures, worker crashes, and per-point timeouts.
         faults: a :class:`repro.exec.faults.FaultPlan` for deterministic
@@ -2162,7 +2016,6 @@ def run_campaign(
         return executor.run(
             campaign,
             checkpoint=checkpoint,
-            chunk_size=chunk_size,
             policy=policy,
             faults=faults,
             target_error=target_error,

@@ -29,6 +29,13 @@ mode's terminal handling applies.  Because a re-dispatched point reuses
 its original content-spawned seed, recovery never changes the campaign's
 values — the chaos invariant (crash-recovered parallel == serial,
 bit-identical) is tested in ``tests/exec/test_faults.py``.
+
+One per-point attempt state machine applies the policy, and the serial
+in-process loop and the supervised pool both drive it: the same outcome
+sequence leads to the same retries, backoff, escalations and error
+records on either path.  Attempt numbers count executions — an
+escalated re-run or a crash re-dispatch is an attempt too — and key both
+the retry backoff and :meth:`repro.exec.faults.FaultPlan.fault_for`.
 """
 
 from __future__ import annotations
@@ -56,9 +63,11 @@ class FailurePolicy:
     Attributes:
         mode: ``"fail_fast"`` | ``"continue"`` | ``"retry"`` (see the
             module docstring for the semantics).
-        max_attempts: executions a point may consume before its failure
-            is terminal (only consulted in ``"retry"`` mode; must be
-            >= 1).  Worker crashes do **not** count against this budget.
+        max_attempts: failed executions (exceptions and timeouts) a
+            point may consume before its failure is terminal (only
+            consulted in ``"retry"`` mode; must be >= 1).  Worker
+            crashes and escalated re-runs do **not** count against this
+            budget.
         timeout: per-point wall-clock budget in seconds, enforced under
             pool dispatch (``workers > 1``): an overdue point's worker is
             killed and respawned, and the timeout is handled like a task
@@ -126,9 +135,10 @@ class FailurePolicy:
         )
 
     def backoff_delay(self, point: CampaignPoint, attempt: int) -> float:
-        """Deterministic backoff before retrying ``point``'s ``attempt``-th try.
+        """Deterministic backoff after ``point``'s ``attempt``-th execution failed.
 
-        Exponential in the attempt number, capped at ``backoff_max``,
+        Exponential in the attempt number (executions so far, escalated
+        re-runs and crash re-dispatches included), capped at ``backoff_max``,
         with a jitter fraction drawn from the point's retry seed — the
         same ``(point, attempt)`` always waits the same time.
         """

@@ -14,8 +14,8 @@ The load-bearing properties:
   in the right direction, clamped, without mutating the input.
 """
 
-import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +28,16 @@ from repro.exec import (
     Campaign,
     CampaignExecutor,
     FailurePolicy,
+    FaultPlan,
     RunLedger,
     recalibrate,
     run_campaign,
     select_backend,
     zip_sweep,
 )
-from repro.exec.costmodel import DEFAULT_CALIBRATION
+from repro.exec.costmodel import DEFAULT_CALIBRATION, load_calibration
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _noisy_circuit(n, loss=0.1):
@@ -114,6 +117,30 @@ class TestPlanContract:
         )
         assert choice.name == "density"
 
+    def test_speed_only_plans_match_committed_anchors(self):
+        """Speed-only selection reproduces the committed decision table.
+
+        ``BENCH_exec.json["auto_selection"]`` records backend, options
+        and the full estimate table for the anchors of
+        ``benchmarks/bench_exec.py::auto_selection_table``; replanning
+        them under the committed calibration must match exactly.
+        """
+        record = json.loads((REPO_ROOT / "BENCH_exec.json").read_text())
+        anchors = {
+            "4_qutrit_noiseless": ([3] * 4, False),
+            "7_qutrit_noiseless": ([3] * 7, False),
+            "3_qutrit_noisy": ([3] * 3, True),
+            "12_qutrit_noisy": ([3] * 12, True),
+            "20_qutrit_noisy": ([3] * 20, True),
+        }
+        assert set(record["auto_selection"]) == set(anchors)
+        for label, (dims, noisy) in anchors.items():
+            plan = select_backend(dims, noisy=noisy, calibration=load_calibration())
+            committed = record["auto_selection"][label]
+            assert plan.name == committed["backend"], label
+            assert plan.options == committed["options"], label
+            assert plan.estimates == committed["estimates"], label
+
     def test_caps_derived_from_register_not_baked_in(self):
         """Regression: tiny registers used to get the baked-in chi=32.
 
@@ -168,18 +195,53 @@ class TestEscalation:
             assert entry["truncation_error"] == pytest.approx(0.0625)
             assert entry["max_chi"] == 8
 
-    def test_pool_matches_serial_bit_for_bit(self):
-        serial = run_campaign(self._campaign(), workers=1, cache=None)
-        pooled = run_campaign(self._campaign(), workers=3, cache=None)
+    @pytest.mark.parametrize("mode", ["continue", "retry"])
+    @pytest.mark.parametrize(
+        "faults",
+        [None, FaultPlan(seed=0, p_exception=0.5)],
+        ids=["clean", "faulted"],
+    )
+    def test_pool_matches_serial_bit_for_bit(self, faults, mode):
+        """Escalation and retries agree on both paths, faults included.
+
+        Under the fault plan points 2 and 7 run clean, escalate, and
+        then meet an injected exception on their second execution —
+        which only lands if both paths number attempts by execution.
+        """
+        policy = FailurePolicy(mode=mode, max_attempts=3)
+        runs = [
+            run_campaign(
+                self._campaign(n=8),
+                workers=workers,
+                cache=None,
+                policy=policy,
+                faults=faults,
+            )
+            for workers in (1, 3)
+        ]
+        serial, pooled = runs
         assert pooled.values == serial.values
+        assert [
+            {k: v for k, v in rec.items() if k != "traceback"}
+            for rec in pooled.errors
+        ] == [
+            {k: v for k, v in rec.items() if k != "traceback"}
+            for rec in serial.errors
+        ]
+        assert len(pooled.timeline) == len(serial.timeline) == 8
+        if faults is None:
+            assert all(entry["ok"] for entry in serial.timeline)
         for s, p in zip(serial.timeline, pooled.timeline):
-            for key in (
-                "escalations",
-                "truncation_error",
-                "max_chi",
-                "bond_truncations",
-            ):
+            assert p["ok"] == s["ok"]
+            for key in ("attempts", "escalations", "backoff_s"):
                 assert p[key] == s[key]
+            for key in ("truncation_error", "max_chi", "bond_truncations"):
+                # A delivered point must report its account; an errored
+                # one may carry none.
+                if s["ok"]:
+                    assert p[key] == s[key]
+                else:
+                    assert p.get(key) == s.get(key)
 
     def test_resumed_run_matches_clean(self, tmp_path):
         checkpoint = tmp_path / "progress.jsonl"
@@ -321,11 +383,3 @@ class TestFacade:
         ):
             assert hasattr(repro, name)
             assert name in repro.__all__
-
-    def test_runner_shim_warns(self):
-        from repro.exec import runner
-
-        with pytest.warns(DeprecationWarning, match="repro.exec.runner"):
-            importlib.reload(runner)
-        # The historical surface still resolves after the warning.
-        assert runner.run_campaign is not None

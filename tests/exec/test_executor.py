@@ -73,15 +73,12 @@ class TestStreamedBitEquality:
     @given(
         n=st.integers(min_value=1, max_value=7),
         workers=st.integers(min_value=1, max_value=3),
-        chunk=st.integers(min_value=1, max_value=3),
     )
-    def test_stream_and_barrier_agree(self, n, workers, chunk):
+    def test_stream_and_barrier_agree(self, n, workers):
         """Streamed == as-completed == barrier, over shapes and pools."""
         barrier = run_campaign(_campaign(n=n), workers=workers)
         with CampaignExecutor(workers) as executor:
-            streamed = list(
-                executor.submit(_campaign(n=n), chunk_size=chunk).stream_results()
-            )
+            streamed = list(executor.submit(_campaign(n=n)).stream_results())
             events = list(executor.submit(_campaign(n=n)).as_completed())
         assert streamed == barrier.values
         reassembled = {e.point.index: e.value for e in events}

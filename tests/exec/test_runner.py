@@ -19,7 +19,7 @@ from repro.exec import (
     run_campaign,
     zip_sweep,
 )
-from repro.exec.runner import to_jsonable
+from repro.exec.executor import to_jsonable
 
 
 def stochastic_task(x, scale=1.0, seed=0):
@@ -100,7 +100,7 @@ class TestParallelExecution:
     def test_parallel_with_dict_values(self):
         campaign = Campaign(task=record_task, sweep=zip_sweep(x=list(range(6))))
         serial = run_campaign(campaign)
-        parallel = run_campaign(campaign, workers=3, chunk_size=1)
+        parallel = run_campaign(campaign, workers=3)
         assert parallel.values == serial.values
 
     def test_invalid_workers(self):

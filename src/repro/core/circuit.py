@@ -12,6 +12,10 @@ Instructions fall into three kinds:
 * ``channel`` — carries a list of Kraus operators (noise insertion), plus
   the probability of a :func:`~repro.core.channels.depolarizing` family;
 * ``measure`` / ``reset`` — non-unitary bookkeeping used by simulators.
+
+:meth:`QuditCircuit.plan` compiles the instruction list into the
+:class:`PlanStep` sequence that the dense engines (statevector, density
+matrix, trajectories) all run.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -26,9 +31,9 @@ from . import gates
 from .channels import QuditChannel, depolarizing
 from .dims import total_dim, validate_dims
 from .exceptions import CircuitError
-from .structure import GateStructure, classify_gate
+from .structure import DIAGONAL, GateStructure, broadcast_over_targets, intern_structure
 
-__all__ = ["Instruction", "QuditCircuit"]
+__all__ = ["Instruction", "PlanStep", "QuditCircuit"]
 
 #: Instruction kinds understood by the simulators.
 _KINDS = ("unitary", "channel", "measure", "reset")
@@ -94,24 +99,24 @@ class Instruction:
         return len(self.qudits)
 
     def structure(self) -> GateStructure | None:
-        """Cached fast-path structure of a unitary's matrix.
+        """Fast-path structure of a unitary's matrix, from the shared table.
 
-        Classified once on first use (the instruction is immutable, so the
-        result is stashed on the instance); simulators pass it to
-        :func:`~repro.core.statevector.apply_matrix` so Trotter circuits
-        that repeat the same instruction never re-classify or re-reshape
-        the gate.  ``None`` for non-unitary instructions.
+        Looked up in :func:`~repro.core.structure.intern_structure` on
+        first use and remembered on the instance, so every instruction with
+        an equal matrix — across Trotter steps and circuits — shares one
+        classification and its application plans.  ``None`` for
+        non-unitary instructions.
         """
         if self.kind != "unitary":
             return None
         cached = self.__dict__.get("_structure")
         if cached is None:
-            cached = classify_gate(self.matrix)
+            cached = intern_structure(self.matrix)
             object.__setattr__(self, "_structure", cached)
         return cached
 
     def kraus_structures(self) -> tuple[GateStructure, ...] | None:
-        """Cached fast-path structures of a channel's Kraus operators.
+        """Shared-table structures of a channel's Kraus operators.
 
         ``None`` for non-channel instructions.
         """
@@ -119,7 +124,7 @@ class Instruction:
             return None
         cached = self.__dict__.get("_kraus_structures")
         if cached is None:
-            cached = tuple(classify_gate(op) for op in self.kraus)
+            cached = tuple(intern_structure(op) for op in self.kraus)
             object.__setattr__(self, "_kraus_structures", cached)
         return cached
 
@@ -167,6 +172,54 @@ class Instruction:
         )
 
 
+@dataclass(eq=False)
+class PlanStep:
+    """One step of a compiled circuit plan (:meth:`QuditCircuit.plan`).
+
+    Attributes:
+        kind: ``"unitary"``, ``"diagonal"``, ``"channel"`` or ``"reset"``.
+        instruction: the instruction the step runs (for ``"unitary"``
+            possibly a fused run); ``None`` for ``"diagonal"``.
+        diagonal: for ``"diagonal"`` — the full-register diagonal, shape
+            ``dims``, of a run of two or more diagonal unitaries.
+        cache: data an engine derives from the step (the trajectory
+            engine's Born-weight rows); it lives exactly as long as the
+            plan.
+    """
+
+    kind: str
+    instruction: Instruction | None = None
+    diagonal: np.ndarray | None = None
+    cache: dict = field(default_factory=dict, repr=False)
+
+
+def _wire_run(instruction: Instruction) -> object:
+    """Grouping key: a single-wire unitary's wire, else a key of its own."""
+    if instruction.kind == "unitary" and instruction.num_qudits == 1:
+        return instruction.qudits
+    return object()
+
+
+def _fused(run: list[Instruction]) -> Instruction:
+    """One instruction for a same-wire run: the product, last gate leftmost."""
+    if len(run) == 1:
+        return run[0]
+    matrix = run[0].matrix
+    for instruction in run[1:]:
+        matrix = instruction.matrix @ matrix
+    return Instruction(
+        name=f"fused[{len(run)}]",
+        kind="unitary",
+        qudits=run[0].qudits,
+        matrix=matrix,
+        params={"fused": tuple(ins.name for ins in run)},
+    )
+
+
+def _is_diagonal(instruction: Instruction) -> bool:
+    return instruction.kind == "unitary" and instruction.structure().kind == DIAGONAL
+
+
 class QuditCircuit:
     """An ordered sequence of instructions over a mixed-dimension register.
 
@@ -182,10 +235,11 @@ class QuditCircuit:
         self.dims = validate_dims(dims)
         self.name = name
         self._instructions: list[Instruction] = []
-        #: Mutation counter bumped by every instruction-list mutator —
-        #: caches keyed on it (the fused-instruction plan) can never serve
-        #: a stale entry after a length-preserving replacement.
+        #: Mutation counter bumped by every instruction-list mutator.  The
+        #: caches keyed on it (the compiled plan, the fingerprint) can
+        #: never serve a stale entry after a length-preserving replacement.
         self._version = 0
+        self._plan: tuple[int, tuple[PlanStep, ...]] | None = None
 
     # ------------------------------------------------------------------
     # container protocol
@@ -481,6 +535,35 @@ class QuditCircuit:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+    def plan(self) -> tuple[PlanStep, ...]:
+        """The compiled plan every dense engine runs, memoised per mutation.
+
+        Runs of same-wire single-qudit unitaries are fused into one
+        matrix first; then each run of two or more diagonal unitaries
+        becomes one ``"diagonal"`` step holding their full-register
+        product.  A ``measure`` marker (terminal measurement is implicit in
+        sampling) emits no step, but it keeps its place while runs are
+        formed, so it ends both kinds of run.  Any mutation (``append``,
+        ``replace_instruction``) recompiles on the next call.
+        """
+        if self._plan is not None and self._plan[0] == self._version:
+            return self._plan[1]
+        stream = [_fused(list(run)) for _, run in groupby(self, _wire_run)]
+        steps: list[PlanStep] = []
+        for diagonal, group in groupby(stream, _is_diagonal):
+            run = list(group)
+            if diagonal and len(run) >= 2:
+                fused = np.ones(self.dims, dtype=complex)
+                for ins in run:
+                    fused *= broadcast_over_targets(
+                        ins.structure().diag, self.dims, list(ins.qudits)
+                    )
+                steps.append(PlanStep("diagonal", diagonal=fused))
+            else:
+                steps.extend(PlanStep(i.kind, i) for i in run if i.kind != "measure")
+        self._plan = (self._version, tuple(steps))
+        return self._plan[1]
+
     def fingerprint(self) -> str:
         """Stable content hash of the circuit (hex digest).
 

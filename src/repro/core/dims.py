@@ -12,6 +12,7 @@ they must be fast, allocation-light, and obviously correct.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .exceptions import DimensionError
 
 __all__ = [
     "validate_dims",
+    "validate_wires",
     "total_dim",
     "index_to_digits",
     "digits_to_index",
@@ -49,6 +51,45 @@ def validate_dims(dims: Sequence[int]) -> tuple[int, ...]:
         if d < 2:
             raise DimensionError(f"qudit {i} has dimension {d}; must be >= 2")
     return out
+
+
+def validate_wires(
+    dims: tuple[int, ...],
+    targets: int | Sequence[int],
+    operators: Sequence[np.ndarray] = (),
+) -> tuple[int, ...]:
+    """Validated target wires of a register, each operator spanning them.
+
+    Args:
+        dims: the register's (already validated) dimensions.
+        targets: a wire index or a sequence of them, in the caller's order.
+        operators: matrices that must each act on exactly these wires.
+
+    Returns:
+        The targets as a tuple of python ints.
+
+    Raises:
+        DimensionError: on a wire off the register, a repeated wire, or an
+            operator whose shape is not ``(D_S, D_S)`` for the joint
+            dimension ``D_S`` of the targets.
+    """
+    if isinstance(targets, (int, np.integer)):
+        targets = (int(targets),)
+    wires = tuple(int(t) for t in targets)
+    n = len(dims)
+    for t in wires:
+        if not 0 <= t < n:
+            raise DimensionError(f"wire {t} out of range for {n}-qudit register")
+    if len(set(wires)) != len(wires):
+        raise DimensionError(f"duplicate target wires in {wires}")
+    span = math.prod(dims[t] for t in wires)
+    for op in operators:
+        if op.shape != (span, span):
+            raise DimensionError(
+                f"operator shape {op.shape} does not span wires {wires} "
+                f"(dimension {span})"
+            )
+    return wires
 
 
 def total_dim(dims: Sequence[int]) -> int:

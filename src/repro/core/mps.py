@@ -54,9 +54,6 @@ from .tensor_utils import (
     operator_schmidt_factors,
 )
 
-# The observable memo lives with the shared core; it stays importable here.
-from .tensor_utils import _classify_observable as _classify_observable
-
 __all__ = ["MPSState", "operator_schmidt_factors"]
 
 

@@ -14,29 +14,47 @@ qudit dimensions.  Gate application dispatches on the operator's structure
 All kernels treat axes beyond the register rank as **batch axes**, which is
 how the batched trajectory engine evolves hundreds of noisy trajectories
 with one kernel invocation per gate.
+
+:meth:`Statevector.evolve` runs the circuit's compiled plan
+(:meth:`~repro.core.circuit.QuditCircuit.plan`) on the raw amplitude
+tensor; :func:`apply_step` is the plan-step kernel it shares with the
+trajectory engine.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
-from .circuit import QuditCircuit
-from .dims import digits_to_index, index_to_digits, strides, total_dim, validate_dims
+from .circuit import PlanStep, QuditCircuit
+from .dims import (
+    digits_to_index,
+    index_to_digits,
+    strides,
+    total_dim,
+    validate_dims,
+    validate_wires,
+)
 from .exceptions import DimensionError, SimulationError
 from .rng import ensure_rng, sanitize_probabilities
-from .structure import DIAGONAL, PERMUTATION, GateStructure, classify_gate
+from .structure import (
+    DIAGONAL,
+    PERMUTATION,
+    GateStructure,
+    broadcast_over_targets,
+    classify_gate,
+)
 
 __all__ = [
     "Statevector",
     "embed_unitary",
     "apply_matrix",
     "apply_matrix_dense",
+    "apply_step",
     "broadcast_over_targets",
-    "fused_instructions",
 ]
 
 
@@ -73,28 +91,6 @@ def apply_matrix_dense(
     for b in range(batch_ndim):
         order[n + b] = n + b
     return np.transpose(contracted, order)
-
-
-def broadcast_over_targets(
-    flat_values: np.ndarray, dims: tuple[int, ...], targets: list[int]
-) -> np.ndarray:
-    """Reshape per-gate-level values to broadcast against a register tensor.
-
-    ``flat_values`` is indexed by the joint target level in matrix tensor
-    order; the result has the register's rank with size-1 axes everywhere
-    except the target axes.
-    """
-    gate_dims = [dims[t] for t in targets]
-    value_tensor = flat_values.reshape(gate_dims)
-    if len(targets) > 1:
-        # Reorder the value tensor's axes to ascending register order so a
-        # plain reshape lines each one up with its target axis.
-        order = sorted(range(len(targets)), key=targets.__getitem__)
-        value_tensor = np.transpose(value_tensor, order)
-    shape = [1] * len(dims)
-    for t in targets:
-        shape[t] = dims[t]
-    return np.ascontiguousarray(value_tensor.reshape(shape))
 
 
 def _apply_diagonal(
@@ -244,64 +240,19 @@ def apply_matrix(
     return apply_matrix_dense(tensor, matrix, dims, targets)
 
 
-def _flush_run(plan: list, run: list) -> None:
-    """Emit a pending same-wire run, fusing it when longer than one gate."""
-    if not run:
-        return
-    if len(run) == 1:
-        plan.append(run[0])
-    else:
-        from .circuit import Instruction  # local import avoids a cycle
+def apply_step(
+    tensor: np.ndarray, step: PlanStep, dims: tuple[int, ...]
+) -> np.ndarray:
+    """Run one ``"unitary"`` or ``"diagonal"`` plan step on a state tensor.
 
-        fused = run[0].matrix
-        for instruction in run[1:]:
-            fused = instruction.matrix @ fused
-        plan.append(
-            Instruction(
-                name=f"fused[{len(run)}]",
-                kind="unitary",
-                qudits=run[0].qudits,
-                matrix=fused,
-                params={"fused": tuple(ins.name for ins in run)},
-            )
-        )
-    run.clear()
-
-
-def fused_instructions(circuit: QuditCircuit) -> tuple:
-    """Instruction stream with runs of same-wire single-qudit unitaries fused.
-
-    Consecutive single-wire unitaries on the *same* wire collapse into one
-    ``d x d`` product applied with a single kernel call — a run of dense
-    Givens/mixer pulses costs one contraction instead of many, and a
-    diagonal-times-permutation run collapses to one monomial gather.  Any
-    intervening instruction (another wire, a channel, a measurement) breaks
-    the run, so ordering semantics are preserved exactly.
-
-    The plan is cached on the circuit keyed by its mutation counter (bumped
-    by every mutator — ``append``, ``replace_instruction``), so repeatedly
-    evolving the same circuit — Trotter step loops — fuses once, while
-    *any* mutation invalidates the cache.  A length-based key would serve a
-    stale plan after a length-preserving instruction replacement.
+    Axes beyond the register rank are batch axes, as in
+    :func:`apply_matrix`.
     """
-    cached = getattr(circuit, "_fused_plan", None)
-    version = getattr(circuit, "_version", None)
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    plan: list = []
-    run: list = []
-    for instruction in circuit:
-        if instruction.kind == "unitary" and instruction.num_qudits == 1:
-            if run and run[-1].qudits != instruction.qudits:
-                _flush_run(plan, run)
-            run.append(instruction)
-            continue
-        _flush_run(plan, run)
-        plan.append(instruction)
-    _flush_run(plan, run)
-    out = tuple(plan)
-    circuit._fused_plan = (version, out)
-    return out
+    if step.kind == "diagonal":
+        batch = (1,) * (tensor.ndim - len(dims))
+        return tensor * step.diagonal.reshape(dims + batch)
+    ins = step.instruction
+    return apply_matrix(tensor, ins.matrix, dims, ins.qudits, ins.structure())
 
 
 def embed_unitary(
@@ -322,6 +273,24 @@ def embed_unitary(
         targets,
     )
     return columns.reshape(dim, dim)
+
+
+def _observed(
+    backend: str, event: str, kinds: Iterable[str], kernel: Callable, *args, **fields
+) -> np.ndarray:
+    """Run a kernel; with telemetry on, count it as ``<event>_applies``.
+
+    ``kinds`` (the structure kinds involved) is read only when telemetry is
+    on; several distinct kinds are reported as ``"mixed"``.  ``fields``
+    go on the ``<event>_apply`` span.
+    """
+    if not (_metrics.enabled or _tracing.enabled):
+        return kernel(*args)
+    seen = set(kinds)
+    kind = seen.pop() if len(seen) == 1 else "mixed"
+    _metrics.inc(f"{event}_applies", backend=backend, kind=kind)
+    with _tracing.span(f"{event}_apply", backend=backend, kind=kind, **fields):
+        return kernel(*args)
 
 
 class Statevector:
@@ -419,59 +388,47 @@ class Statevector:
             matrix: operator over the target wires.
             targets: wire index or indices.
             structure: optional precomputed gate structure (fast-path hint).
+
+        Raises:
+            DimensionError: on a wire off the register, a repeated wire, or
+                an operator that does not span the targets.
         """
-        if isinstance(targets, (int, np.integer)):
-            targets = (int(targets),)
         matrix = np.asarray(matrix, dtype=complex)
-        if _metrics.enabled or _tracing.enabled:
-            if structure is None:
-                structure = classify_gate(matrix)
-            _metrics.inc("gate_applies", backend="statevector", kind=structure.kind)
-            with _tracing.span(
-                "gate_apply", backend="statevector", kind=structure.kind
-            ):
-                tensor = apply_matrix(
-                    self._tensor, matrix, self.dims, targets, structure=structure
-                )
-        else:
-            tensor = apply_matrix(
-                self._tensor, matrix, self.dims, targets, structure=structure
-            )
+        targets = validate_wires(self.dims, targets, [matrix])
+        structure = structure or classify_gate(matrix)
+        kinds = (structure.kind,)
+        args = (self._tensor, matrix, self.dims, targets, structure)
+        tensor = _observed("statevector", "gate", kinds, apply_matrix, *args)
         return Statevector(tensor.reshape(-1), self.dims)
 
     def evolve(self, circuit: QuditCircuit) -> "Statevector":
-        """Run a (noise-free) circuit; channels/measure markers are rejected.
+        """Run a (noise-free) circuit through its compiled plan.
 
-        Runs of consecutive single-qudit unitaries on the same wire are
-        fused into one matrix before application (see
-        :func:`fused_instructions`), and every instruction is dispatched
-        through its cached gate structure, so repeated steps (Trotter
-        circuits) classify each distinct gate matrix only once.
+        The plan (:meth:`~repro.core.circuit.QuditCircuit.plan`) fuses
+        same-wire single-qudit runs and diagonal runs and drops
+        ``measure`` markers; its steps pass the raw amplitude tensor along
+        and it is wrapped in a :class:`Statevector` once at the end.
 
         Raises:
-            SimulationError: on channel instructions — use the density-matrix
-                or trajectory simulators for noisy circuits.
+            SimulationError: on channel or reset instructions — use the
+                density-matrix or trajectory simulators for noisy circuits.
         """
         if circuit.dims != self.dims:
             raise DimensionError(
                 f"circuit dims {circuit.dims} != state dims {self.dims}"
             )
-        state = self
-        for instruction in fused_instructions(circuit):
-            if instruction.kind == "unitary":
-                state = state.apply(
-                    instruction.matrix,
-                    instruction.qudits,
-                    structure=instruction.structure(),
-                )
-            elif instruction.kind == "measure":
-                continue  # terminal measurement is implicit in sampling
-            else:
+        tensor = self._tensor
+        for step in circuit.plan():
+            if step.kind in ("channel", "reset"):
                 raise SimulationError(
-                    f"Statevector cannot execute {instruction.kind!r} "
-                    f"instruction {instruction.name!r}"
+                    f"Statevector cannot execute {step.kind!r} "
+                    f"instruction {step.instruction.name!r}"
                 )
-        return state
+            ins = step.instruction
+            kinds = (ins.structure().kind,) if ins else (DIAGONAL,)
+            args = (tensor, step, self.dims)
+            tensor = _observed("statevector", "gate", kinds, apply_step, *args)
+        return Statevector(tensor.reshape(-1), self.dims)
 
     # ------------------------------------------------------------------
     # observables
@@ -526,8 +483,8 @@ class Statevector:
         Collapse zeroes the non-outcome slices of the wire's axis directly
         — no projector matrix is built and no gate contraction is paid.
         """
+        (axis,) = validate_wires(self.dims, qudit)
         rng = ensure_rng(rng)
-        axis = int(qudit)
         marginal = np.abs(self._tensor) ** 2
         sum_axes = tuple(ax for ax in range(len(self.dims)) if ax != axis)
         probs = sanitize_probabilities(marginal.sum(axis=sum_axes))
@@ -540,7 +497,7 @@ class Statevector:
 
     def partial_trace(self, keep: Sequence[int]) -> np.ndarray:
         """Reduced density matrix over the ``keep`` wires (in given order)."""
-        keep = list(keep)
+        keep = list(validate_wires(self.dims, keep))
         others = [ax for ax in range(len(self.dims)) if ax not in keep]
         perm = keep + others
         tensor = np.transpose(self._tensor, perm)

@@ -12,8 +12,10 @@ permutation only an ``O(D)`` gather, with no reshaping of the operator.
 zero pattern, no tolerance rounding), so the fast paths are guaranteed to
 reproduce the dense reference bit-for-bit up to floating-point summation
 of exact zeros.  Classification is ``O(d^2)`` — negligible next to even a
-single contraction — and is cached per :class:`~repro.core.circuit.Instruction`
-so repeated Trotter steps classify each gate once.
+single contraction.  :func:`intern_structure` keeps one table of results
+keyed by a matrix's shape, dtype and bytes, so every equal matrix —
+across instructions, circuits and Trotter steps — shares one
+:class:`GateStructure` and the application plans cached on it.
 
 Taxonomy (``GateStructure.kind``):
 
@@ -30,7 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GateStructure", "classify_gate", "DIAGONAL", "PERMUTATION", "DENSE"]
+__all__ = [
+    "GateStructure",
+    "classify_gate",
+    "intern_structure",
+    "broadcast_over_targets",
+    "DIAGONAL",
+    "PERMUTATION",
+    "DENSE",
+]
 
 DIAGONAL = "diagonal"
 PERMUTATION = "permutation"
@@ -50,11 +60,12 @@ class GateStructure:
         values: for ``permutation`` — the nonzero entry of each row, or
             ``None`` when every entry is exactly ``1`` (pure permutation,
             no multiply needed).
-        plans: per-``(dims, targets)`` cache of precomputed application
-            plans (broadcast diagonals, flat gather maps, reshaped gate
-            tensors) filled lazily by the statevector kernels — this is the
-            gate-tensor cache that lets repeated Trotter steps skip all
-            re-reshaping.
+        plans: cache of precomputed application plans, keyed by what
+            they depend on (register dims, targets): broadcast diagonals
+            and flat gather maps from the statevector kernels, axis-sorted
+            re-classifications and operator-Schmidt factors from the
+            MPS/LPDO engines.  All are filled lazily, so repeated Trotter
+            steps skip all re-reshaping.
     """
 
     kind: str
@@ -107,3 +118,52 @@ def classify_gate(matrix: np.ndarray) -> GateStructure:
             kind=PERMUTATION, matrix=matrix, source=source, values=values
         )
     return GateStructure(kind=DENSE, matrix=matrix)
+
+
+#: The structure table: :func:`classify_gate` results keyed by
+#: ``(shape, dtype, bytes)``.  Cleared whole when it reaches
+#: ``_TABLE_SIZE`` entries, which bounds the plans it keeps alive.
+_TABLE: dict = {}
+_TABLE_SIZE = 256
+
+
+def intern_structure(matrix: np.ndarray) -> GateStructure:
+    """The shared :class:`GateStructure` of ``matrix``'s exact contents.
+
+    Equal matrices (same shape, dtype and bytes) return the same object,
+    classified once.  The structure holds a read-only copy of the matrix,
+    so a caller that later writes into its array never changes what the
+    table serves.
+    """
+    matrix = np.asarray(matrix)
+    key = (matrix.shape, matrix.dtype.str, matrix.tobytes())
+    cached = _TABLE.get(key)
+    if cached is None:
+        if len(_TABLE) >= _TABLE_SIZE:
+            _TABLE.clear()
+        frozen = matrix.copy()
+        frozen.flags.writeable = False
+        cached = _TABLE[key] = classify_gate(frozen)
+    return cached
+
+
+def broadcast_over_targets(
+    flat_values: np.ndarray, dims: tuple[int, ...], targets: list[int]
+) -> np.ndarray:
+    """Reshape per-gate-level values to broadcast against a register tensor.
+
+    ``flat_values`` is indexed by the joint target level in matrix tensor
+    order; the result has the register's rank with size-1 axes everywhere
+    except the target axes.
+    """
+    gate_dims = [dims[t] for t in targets]
+    value_tensor = flat_values.reshape(gate_dims)
+    if len(targets) > 1:
+        # Reorder the value tensor's axes to ascending register order so a
+        # plain reshape lines each one up with its target axis.
+        order = sorted(range(len(targets)), key=targets.__getitem__)
+        value_tensor = np.transpose(value_tensor, order)
+    shape = [1] * len(dims)
+    for t in targets:
+        shape[t] = dims[t]
+    return np.ascontiguousarray(value_tensor.reshape(shape))

@@ -45,12 +45,18 @@ import numpy as np
 
 from . import budget as _budget
 from .circuit import Instruction, QuditCircuit
-from .dims import validate_dims
+from .dims import validate_dims, validate_wires
 from .exceptions import DimensionError, SimulationError
 from .rng import RngLike
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
-from .structure import DIAGONAL, PERMUTATION, GateStructure, classify_gate
+from .structure import (
+    DIAGONAL,
+    PERMUTATION,
+    GateStructure,
+    classify_gate,
+    intern_structure,
+)
 
 __all__ = [
     "TensorTrainState",
@@ -177,26 +183,6 @@ def _schmidt_factors(
     return factors
 
 
-#: Memoised classifications of caller-supplied observables, keyed by the
-#: operator's bytes — repeated ``expectation`` calls with the same handful
-#: of fixed operators (QAOA edge projectors, reservoir moments) reuse one
-#: :class:`GateStructure` and its cached operator-Schmidt factorisation
-#: instead of re-classifying / re-decomposing per call.
-_OBSERVABLE_CACHE: dict = {}
-_OBSERVABLE_CACHE_SIZE = 256
-
-
-def _classify_observable(operator: np.ndarray) -> GateStructure:
-    key = (operator.shape, operator.dtype.str, operator.tobytes())
-    cached = _OBSERVABLE_CACHE.get(key)
-    if cached is None:
-        if len(_OBSERVABLE_CACHE) >= _OBSERVABLE_CACHE_SIZE:
-            _OBSERVABLE_CACHE.clear()
-        cached = classify_gate(operator)
-        _OBSERVABLE_CACHE[key] = cached
-    return cached
-
-
 def _sorted_gate(
     matrix: np.ndarray,
     structure: GateStructure | None,
@@ -218,7 +204,7 @@ def _sorted_gate(
         return structure, targets
     gate_dims = [dims[t] for t in targets]
     # The dims belong in the key: one GateStructure can be shared across
-    # registers (observable memo, reused instructions), and the same byte
+    # registers (the structure table, reused instructions), and the same byte
     # pattern permutes differently on e.g. (2, 3) vs (3, 2) wires.
     key = ("axis_order", order, tuple(gate_dims))
     permuted = structure.plans.get(key)
@@ -423,14 +409,7 @@ class TensorTrainState(ABC):
         self, matrix: np.ndarray, targets: int | Sequence[int]
     ) -> tuple[int, ...]:
         """:meth:`_wires`, plus a check that ``matrix`` spans exactly them."""
-        wires = self._wires(targets)
-        span = math.prod(self._dims[t] for t in wires)
-        if matrix.shape != (span, span):
-            raise DimensionError(
-                f"operator shape {matrix.shape} does not span wires "
-                f"{wires} (dimension {span})"
-            )
-        return wires
+        return validate_wires(tuple(self._dims), self._wires(targets), [matrix])
 
     def _channel_ops(
         self, instruction: Instruction
@@ -753,7 +732,7 @@ class TensorTrainState(ABC):
         operator = np.asarray(operator, dtype=complex)
         wires = self._operator_wires(operator, targets)
         structure, wires = _sorted_gate(
-            operator, _classify_observable(operator), wires, self._dims
+            operator, intern_structure(operator), wires, self._dims
         )
         if _is_run(wires):
             first, last = wires[0], wires[-1]

@@ -10,15 +10,19 @@ the noisy output distribution, which is all the QAOA/NDAR studies need.
 
 **Batched engine.**  All trajectories evolve *simultaneously* as one tensor
 with a trailing batch axis (shape ``dims + (B,)``), which every kernel in
-:func:`~repro.core.statevector.apply_matrix` supports natively.  A unitary
-touches the whole batch in one structured kernel call; a channel computes
-every Kraus candidate for every trajectory, selects one branch per
-trajectory by vectorised inverse-CDF sampling of the Born weights, and
-renormalises the whole batch at once; resets collapse and re-zero a wire
-batch-wide.  This removes the per-trajectory Python interpreter loop that
-dominated the seed implementation (see ``benchmarks/bench_core_engine.py``
-and ``BENCH_core.json`` for the measured speedup).  Batches are chunked so
-the *working set* stays bounded however many trajectories are requested;
+:func:`~repro.core.statevector.apply_matrix` supports natively.  The engine
+runs the circuit's compiled plan
+(:meth:`~repro.core.circuit.QuditCircuit.plan`), the one the statevector
+and density engines run, so same-wire gate runs and diagonal runs arrive
+fused.  A unitary touches the whole batch in one structured kernel call; a
+channel computes every Kraus candidate for every trajectory, selects one
+branch per trajectory by vectorised inverse-CDF sampling of the Born
+weights, and renormalises the whole batch at once; resets collapse and
+re-zero a wire batch-wide.  This removes the per-trajectory Python
+interpreter loop that dominated the seed implementation (see
+``benchmarks/bench_core_engine.py`` and ``BENCH_core.json`` for the
+measured speedup).  Batches are chunked so the *working set* stays bounded
+however many trajectories are requested;
 ``sample``/``expectation``/``average_density`` stream over the chunks,
 while ``run_batch``'s returned final-state array necessarily scales with
 the request.
@@ -30,13 +34,14 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .circuit import Instruction, QuditCircuit
+from .circuit import Instruction, PlanStep, QuditCircuit
 from .dims import index_to_digits, total_dim
 from .exceptions import SimulationError
 from .rng import derive_seed, ensure_rng, spawn_seeds
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
-from .statevector import Statevector, apply_matrix, broadcast_over_targets
+from .statevector import Statevector, apply_matrix, apply_step
+from .structure import broadcast_over_targets
 
 __all__ = ["TrajectorySimulator"]
 
@@ -69,18 +74,6 @@ class TrajectorySimulator:
         if max_batch is not None and max_batch < 1:
             raise SimulationError("max_batch must be >= 1")
         self._max_batch = max_batch
-        # Per-channel-instruction weight plans (lazily built): when every
-        # Kraus operator's K†K is diagonal, Born weights are one GEMM
-        # against |psi|^2 and only the *chosen* branch is ever applied.
-        self._jump_plans: dict[int, np.ndarray | None] = {}
-        # Execution plan (lazily built): runs of >= 2 consecutive diagonal
-        # unitaries (e.g. a QAOA phase separator, cross-Kerr Trotter layers)
-        # are fused into one cached full-register diagonal multiply.  The
-        # cache records the circuit's mutation counter so *any* mutation —
-        # appends and length-preserving replacements alike — invalidates
-        # it (and the per-channel jump plans, which are keyed on
-        # instruction identity and could otherwise alias a freed object).
-        self._exec_plan: tuple[object, list[tuple[str, object]]] | None = None
 
     # ------------------------------------------------------------------
     # batched engine
@@ -125,77 +118,14 @@ class TrajectorySimulator:
                 f"batch tensor shape {tensor.shape} does not match register "
                 f"dims {dims} plus one batch axis"
             )
-        for kind, payload in self._execution_plan():
-            if kind == "fused_diagonal":
-                tensor = tensor * payload[..., None]
-                continue
-            instruction = payload
-            if instruction.kind == "unitary":
-                tensor = apply_matrix(
-                    tensor,
-                    instruction.matrix,
-                    dims,
-                    instruction.qudits,
-                    structure=instruction.structure(),
-                )
-            elif instruction.kind == "channel":
-                tensor = self._jump_batch(tensor, instruction, rng)
-            elif instruction.kind == "measure":
-                continue
-            elif instruction.kind == "reset":
-                tensor = self._reset_batch(tensor, instruction.qudits[0], rng)
-            else:  # pragma: no cover - validated at circuit build time
-                raise SimulationError(f"unknown kind {instruction.kind}")
+        for step in self.circuit.plan():
+            if step.kind == "channel":
+                tensor = self._jump_batch(tensor, step, rng)
+            elif step.kind == "reset":
+                tensor = self._reset_batch(tensor, step.instruction.qudits[0], rng)
+            else:
+                tensor = apply_step(tensor, step, dims)
         return tensor[..., 0] if squeeze else tensor
-
-    def _execution_plan(self) -> list[tuple[str, object]]:
-        """Instruction stream with consecutive diagonal unitaries fused.
-
-        Same-wire single-qudit runs are first collapsed by
-        :func:`~repro.core.statevector.fused_instructions`; then a run of
-        >= 2 diagonal unitaries collapses into one precomputed
-        full-register diagonal tensor (``"fused_diagonal"`` step) — e.g. a
-        14-edge QAOA phase separator becomes a single elementwise multiply.
-        Rebuilt automatically when the circuit has mutated since the last
-        run (keyed on the circuit's mutation counter, so length-preserving
-        replacements invalidate it too).
-        """
-        version = getattr(self.circuit, "_version", None)
-        if self._exec_plan is not None and self._exec_plan[0] == version:
-            return self._exec_plan[1]
-        # A rebuilt plan means the instruction objects may have changed;
-        # drop the id-keyed channel plans so a new instruction allocated at
-        # a freed address can never inherit the old one's weights.
-        self._jump_plans.clear()
-        from .statevector import fused_instructions
-        from .structure import DIAGONAL
-
-        dims = self.circuit.dims
-
-        def _is_diagonal(ins: Instruction) -> bool:
-            return ins.kind == "unitary" and ins.structure().kind == DIAGONAL
-
-        plan: list[tuple[str, object]] = []
-        instructions = list(fused_instructions(self.circuit))
-        i = 0
-        while i < len(instructions):
-            if _is_diagonal(instructions[i]):
-                j = i
-                while j < len(instructions) and _is_diagonal(instructions[j]):
-                    j += 1
-                if j - i >= 2:
-                    fused = np.ones(dims, dtype=complex)
-                    for ins in instructions[i:j]:
-                        fused *= broadcast_over_targets(
-                            ins.structure().diag, dims, list(ins.qudits)
-                        )
-                    plan.append(("fused_diagonal", fused))
-                    i = j
-                    continue
-            plan.append(("instruction", instructions[i]))
-            i += 1
-        self._exec_plan = (version, plan)
-        return plan
 
     def _categorical_draw(
         self,
@@ -233,43 +163,43 @@ class TrajectorySimulator:
         weights for the whole batch reduce to one ``(K, D) @ (D, B)`` matmul
         and only the selected branch ever needs applying.
         """
-        key = id(instruction)
-        if key in self._jump_plans:
-            return self._jump_plans[key]
         dims = self.circuit.dims
         targets = list(instruction.qudits)
         rows = []
-        plan: np.ndarray | None = None
         for op in instruction.kraus:
             gram = op.conj().T @ op
             off = gram.copy()
             np.fill_diagonal(off, 0)
             if off.any():
-                break
+                return None
             g_local = np.ascontiguousarray(np.real(np.diagonal(gram)))
             rows.append(
                 np.broadcast_to(
                     broadcast_over_targets(g_local, dims, targets), dims
                 ).reshape(-1)
             )
-        else:
-            plan = np.array(rows)
-        self._jump_plans[key] = plan
-        return plan
+        return np.array(rows)
 
     def _jump_batch(
         self,
         tensor: np.ndarray,
-        instruction: Instruction,
+        step: PlanStep,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
-        """Kraus jump on the whole batch: vectorised Born branch selection."""
+        """Kraus jump on the whole batch: vectorised Born branch selection.
+
+        The channel's Born-weight plan is built on first use and kept in
+        the plan step's cache, so it lives exactly as long as the step.
+        """
+        instruction = step.instruction
         dims = self.circuit.dims
         kraus = instruction.kraus
         structures = instruction.kraus_structures()
         n_batch = tensor.shape[-1]
         dim = total_dim(dims)
-        weight_plan = self._channel_weight_plan(instruction)
+        if "born" not in step.cache:
+            step.cache["born"] = self._channel_weight_plan(instruction)
+        weight_plan = step.cache["born"]
         flat = tensor.reshape(dim, n_batch)
         candidates: list[np.ndarray] | None = None
         if weight_plan is not None:

@@ -267,14 +267,17 @@ class TestBatchedTrajectories:
         assert abs(mean_mat - mean_fn) < 1e-10
 
     def test_circuit_growth_invalidates_execution_plan(self):
-        """Appending gates after a run must be reflected in the next run."""
+        """Appending gates after a run recompiles the circuit's plan."""
         qc = QuditCircuit([3])
         qc.z(0)
         sim = TrajectorySimulator(qc, seed=12)
         sim.run_batch(1)
+        stale = qc.plan()
         qc.x(0)
         final = sim.run_batch(1)
-        expected = Statevector.zero([3]).evolve(qc).vector
+        assert qc.plan() is not stale
+        assert [s.instruction.name for s in qc.plan()] == ["fused[2]"]
+        expected = (gates.weyl_x(3) @ gates.weyl_z(3))[:, 0]
         np.testing.assert_allclose(final[:, 0], expected, atol=1e-12)
 
     def test_evolve_states_accepts_unbatched_tensor(self):

@@ -420,7 +420,26 @@ class TestObservableCacheKeying:
         assert abs(values[0] - values[1]) > 1e-12
 
     def test_repeated_expectation_uses_cached_structure(self):
-        from repro.core.mps import _classify_observable
+        from repro.core.structure import intern_structure
 
         op = np.diag([0.0, 1.0, 2.0]).astype(complex)
-        assert _classify_observable(op) is _classify_observable(op.copy())
+        assert intern_structure(op) is intern_structure(op.copy())
+
+    @pytest.mark.parametrize("engine", ["mps", "lpdo"])
+    def test_memo_does_not_alias_the_callers_array(self, engine):
+        """Regression: the expectation memo held the caller's buffer, so
+        writing into it after one call changed later answers."""
+        from repro.core.lpdo import LPDOState
+
+        cls = MPSState if engine == "mps" else LPDOState
+        rng = np.random.default_rng(3)
+        sv = Statevector(random_statevector(9, rng), (3, 3))
+        state = cls.from_statevector(sv)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = a + a.conj().T
+        orig = a.copy()
+        before = state.expectation(a, 0)
+        assert abs(before - sv.expectation(orig, 0)) < 1e-10
+        assert abs(before - 1.0) > 0.1
+        a[:] = np.eye(3)
+        assert state.expectation(orig.copy(), 0) == before

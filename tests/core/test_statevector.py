@@ -181,3 +181,30 @@ class TestPartialTrace:
         rng = np.random.default_rng(d)
         sv = Statevector(random_statevector(d * d, rng), [d, d])
         assert abs(np.trace(sv.partial_trace([0])) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("engine", ["statevector", "density"])
+def test_bad_wires_raise_dimension_error(engine):
+    """Both dense engines validate wires and operator shapes alike."""
+    from repro.core import DensityMatrix
+
+    pure = Statevector.uniform([2, 3])
+    if engine == "statevector":
+        state, apply = pure, pure.apply
+    else:
+        state = DensityMatrix.from_statevector(pure)
+        apply = state.apply_unitary
+    bad_calls = [
+        lambda: apply(gates.weyl_x(3), -1),  # would wrap to wire 1
+        lambda: apply(gates.weyl_x(3), 5),
+        lambda: apply(gates.weyl_x(3), 0),  # 3x3 operator on a d=2 wire
+        lambda: apply(np.eye(9), (1, 1)),
+        lambda: state.expectation(gates.number_op(3), 2),
+        lambda: state.partial_trace([5]),
+        lambda: state.partial_trace([0, 0]),
+    ]
+    if engine == "statevector":
+        bad_calls += [lambda: state.measure_qudit(5), lambda: state.measure_qudit(-1)]
+    for call in bad_calls:
+        with pytest.raises(DimensionError):
+            call()

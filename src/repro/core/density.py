@@ -218,6 +218,13 @@ def _run_step(rho: np.ndarray, dims: tuple[int, ...], step: PlanStep) -> np.ndar
         )
     ins = step.instruction
     assert ins is not None  # every step but a fused diagonal runs one
+    return _run_instruction(rho, dims, ins)
+
+
+def _run_instruction(
+    rho: np.ndarray, dims: tuple[int, ...], ins: Instruction
+) -> np.ndarray:
+    """Run one unitary, channel or reset instruction on a raw density matrix."""
     if ins.matrix is not None:
         return _apply_local(rho, dims, [ins.matrix], [ins.structure()], ins.qudits)
     if ins.kraus is not None:
@@ -321,8 +328,21 @@ class DensityMatrix:
     def apply_channel(
         self, channel: QuditChannel, targets: int | Sequence[int]
     ) -> "DensityMatrix":
-        """Apply a :class:`QuditChannel` on local targets."""
-        return self.apply_kraus(channel.kraus, targets)
+        """Apply a :class:`QuditChannel` on local targets.
+
+        Takes the route :meth:`evolve` takes for the same channel: closed
+        form for a depolarising family, one multiply for an all-diagonal
+        one, one batched contraction on a contiguous target run.
+        """
+        wires = validate_wires(self.dims, targets, channel.kraus)
+        ins = Instruction(
+            name=channel.name,
+            kind="channel",
+            qudits=wires,
+            kraus=channel.kraus,
+            depolarizing_p=channel.depolarizing_p,
+        )
+        return DensityMatrix(_run_instruction(self._matrix, self.dims, ins), self.dims)
 
     def evolve(self, circuit: QuditCircuit) -> "DensityMatrix":
         """Run a circuit's compiled plan: unitaries, channels and resets.

@@ -152,15 +152,19 @@ class SplitStepEvolver:
         self._ham = oscillators.hamiltonian()
         self._drive = oscillators.drive_operator()
         d = oscillators.levels
-        gamma_1 = 1.0 - np.exp(-oscillators.kappa_1 * dt)
-        gamma_2 = 1.0 - np.exp(-oscillators.kappa_2 * dt)
+        #: Photon-loss Kraus family of one step per lossy mode (wire -> ops).
+        self.loss_families: dict[int, tuple[np.ndarray, ...]] = {}
+        for mode, kappa in enumerate((oscillators.kappa_1, oscillators.kappa_2)):
+            gamma = 1.0 - np.exp(-kappa * dt)
+            if gamma > 0:
+                self.loss_families[mode] = photon_loss(d, gamma).kraus
         eye = np.eye(d, dtype=complex)
         self._loss_1 = [
-            np.kron(k, eye) for k in photon_loss(d, gamma_1).kraus
-        ] if gamma_1 > 0 else None
+            np.kron(k, eye) for k in self.loss_families[0]
+        ] if 0 in self.loss_families else None
         self._loss_2 = [
-            np.kron(eye, k) for k in photon_loss(d, gamma_2).kraus
-        ] if gamma_2 > 0 else None
+            np.kron(eye, k) for k in self.loss_families[1]
+        ] if 1 in self.loss_families else None
 
     def _unitary(self, drive: float) -> np.ndarray:
         key = round(float(drive), self.drive_quantisation)

@@ -100,23 +100,18 @@ class QuantumReservoir:
     def _step_circuit(self, drive: float) -> QuditCircuit:
         """One clock period as a two-wire circuit (cached per drive value).
 
-        Delegates drive quantisation and the propagator itself to the
-        split-step evolver, so both evolution paths share one unitary
-        cache and one rounding rule.
+        Delegates drive quantisation, the propagator and the photon-loss
+        families to the split-step evolver, so both evolution paths share
+        one unitary cache, one rounding rule and one set of Kraus families.
         """
-        from ..core.channels import photon_loss
-
         key = self._evolver.quantise_drive(drive)
         cached = self._circuit_cache.get(key)
         if cached is not None:
             return cached
         qc = QuditCircuit(self.osc.dims, name="reservoir-step")
         qc.unitary(self._evolver.unitary_for(key), (0, 1), name="drive", drive=key)
-        d = self.osc.levels
-        for mode, kappa in ((0, self.osc.kappa_1), (1, self.osc.kappa_2)):
-            gamma = 1.0 - np.exp(-kappa * self.dt)
-            if gamma > 0:
-                qc.channel(photon_loss(d, gamma).kraus, mode, name="loss")
+        for mode, kraus in self._evolver.loss_families.items():
+            qc.channel(kraus, mode, name="loss")
         if len(self._circuit_cache) >= self._evolver._cache_size:
             self._circuit_cache.pop(next(iter(self._circuit_cache)))
         self._circuit_cache[key] = qc

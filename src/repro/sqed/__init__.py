@@ -20,7 +20,6 @@ from .rotor2d import RotorLadder2D, ladder_mode_layout
 from .rotor3d import RotorLattice3D, SwapNetworkEstimate, swap_network_overhead
 from .trotter import (
     evolve_observable_trajectory,
-    evolve_observable_trajectory_backend,
     exact_observable_trajectory,
     second_order_step_from_terms,
     trotter_circuit,
@@ -52,7 +51,6 @@ __all__ = [
     "SwapNetworkEstimate",
     "swap_network_overhead",
     "evolve_observable_trajectory",
-    "evolve_observable_trajectory_backend",
     "exact_observable_trajectory",
     "second_order_step_from_terms",
     "trotter_circuit",

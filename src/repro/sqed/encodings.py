@@ -32,7 +32,83 @@ from .rotor import RotorChain
 __all__ = ["QuditEncoding", "QubitEncoding", "insert_depolarizing_noise"]
 
 
-class QuditEncoding:
+class _RotorEncoding:
+    """The observable surface both encodings share.
+
+    A subclass says where a site lives (:meth:`_site_wires`), how a site
+    operator looks on those wires (:meth:`_site_operator`) and how a site
+    level is written in digits (:meth:`_level_digits`); every local
+    ``(operator, wires)`` pair, its dense embedding and every product
+    state follow from those three.
+    """
+
+    def __init__(self, chain: RotorChain) -> None:
+        self.chain = chain
+
+    def _site_wires(self, site: int) -> tuple[int, ...]:
+        """Wire indices holding one rotor site."""
+        raise NotImplementedError
+
+    def _site_operator(self, operator: np.ndarray) -> np.ndarray:
+        """A ``d x d`` site operator over the site's wires."""
+        raise NotImplementedError
+
+    def _level_digits(self, level: int) -> tuple[int, ...]:
+        """Digits of one site's (0-based) level over its wires."""
+        raise NotImplementedError
+
+    def _embedded(self, operator: np.ndarray, site: int) -> np.ndarray:
+        """A ``d x d`` site operator embedded in the full register."""
+        wires = self._site_wires(site)
+        return embed_unitary(self._site_operator(operator), self.dims, wires)
+
+    def local_lz(self, site: int) -> tuple[np.ndarray, tuple[int, ...]]:
+        """``Lz`` on one site as an *unembedded* ``(operator, wires)`` pair.
+
+        The local form is what scalable backends (MPS, LPDO) consume — the
+        embedded full-register matrix of :meth:`local_lz_operator` cannot
+        even be allocated past ~9 qutrits.
+        """
+        return self._site_operator(self.chain.ops.lz()), self._site_wires(site)
+
+    def local_lz_operator(self, site: int) -> np.ndarray:
+        """Dense ``Lz`` on one site, embedded in the full register."""
+        return self._embedded(self.chain.ops.lz(), site)
+
+    def total_lz_operator(self) -> np.ndarray:
+        """Dense ``sum_i Lz_i`` over the full register."""
+        total = self.local_lz_operator(0)
+        for site in range(1, self.chain.n_sites):
+            total = total + self.local_lz_operator(site)
+        return total
+
+    def local_link_operator(self, site: int) -> np.ndarray:
+        """Dense ``U + U†`` on one site — the gauge-field 'cosine' probe.
+
+        Unlike the diagonal electric operators this connects different
+        total-``Lz`` charge sectors, so it has a non-zero matrix element
+        between the ground state and the charged first-excited states and
+        oscillates at the mass gap.
+        """
+        raising = self.chain.ops.raising()
+        return self._embedded(raising + raising.conj().T, site)
+
+    def initial_state_digits(self) -> tuple[int, ...]:
+        """Digits of the ``m = 0`` everywhere product state."""
+        return self.product_state_digits([0] * self.chain.n_sites)
+
+    def product_state_digits(self, m_values: list[int]) -> tuple[int, ...]:
+        """Digits of the product state with given ``m`` per site."""
+        spin = self.chain.ops.spin
+        digits: list[int] = []
+        for m in m_values:
+            if not -spin <= m <= spin:
+                raise DimensionError(f"m={m} outside truncation +-{spin}")
+            digits.extend(self._level_digits(m + spin))
+        return tuple(digits)
+
+
+class QuditEncoding(_RotorEncoding):
     """One native qudit per rotor site.
 
     Single-site terms compile to one SNAP-class pulse; the hopping term
@@ -43,9 +119,6 @@ class QuditEncoding:
 
     #: entangling-equivalents by instruction label.
     ENTANGLING_WEIGHTS = {"hop": 2, "zz": 1}
-
-    def __init__(self, chain: RotorChain) -> None:
-        self.chain = chain
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -70,59 +143,19 @@ class QuditEncoding:
             self.entangling_equivalents(term.label) for term in self.chain.terms()
         )
 
-    def total_lz_operator(self) -> np.ndarray:
-        """Dense ``sum_i Lz_i`` over the full register."""
-        total = self.local_lz_operator(0)
-        for site in range(1, self.chain.n_sites):
-            total = total + self.local_lz_operator(site)
-        return total
-
-    def local_lz_operator(self, site: int) -> np.ndarray:
-        """Dense ``Lz`` on one site, embedded in the full register."""
+    def _site_wires(self, site: int) -> tuple[int, ...]:
         if not 0 <= site < self.chain.n_sites:
             raise DimensionError(f"site {site} out of range")
-        return embed_unitary(self.chain.ops.lz(), self.dims, (site,))
+        return (site,)
 
-    def local_lz(self, site: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        """``Lz`` on one site as an *unembedded* ``(operator, wires)`` pair.
+    def _site_operator(self, operator: np.ndarray) -> np.ndarray:
+        return operator
 
-        The local form is what scalable backends (MPS) consume — the
-        embedded full-register matrix of :meth:`local_lz_operator` cannot
-        even be allocated past ~9 qutrits.
-        """
-        if not 0 <= site < self.chain.n_sites:
-            raise DimensionError(f"site {site} out of range")
-        return self.chain.ops.lz(), (site,)
-
-    def local_link_operator(self, site: int) -> np.ndarray:
-        """Dense ``U + U†`` on one site — the gauge-field 'cosine' probe.
-
-        Unlike the diagonal electric operators this connects different
-        total-``Lz`` charge sectors, so it has a non-zero matrix element
-        between the ground state and the charged first-excited states and
-        oscillates at the mass gap.
-        """
-        if not 0 <= site < self.chain.n_sites:
-            raise DimensionError(f"site {site} out of range")
-        raising = self.chain.ops.raising()
-        return embed_unitary(raising + raising.conj().T, self.dims, (site,))
-
-    def initial_state_digits(self) -> tuple[int, ...]:
-        """Digits of the ``m = 0`` everywhere product state (``|s>`` per wire)."""
-        return self.product_state_digits([0] * self.chain.n_sites)
-
-    def product_state_digits(self, m_values: list[int]) -> tuple[int, ...]:
-        """Digits of the product state with given ``m`` per site."""
-        spin = self.chain.ops.spin
-        digits = []
-        for m in m_values:
-            if not -spin <= m <= spin:
-                raise DimensionError(f"m={m} outside truncation +-{spin}")
-            digits.append(m + spin)
-        return tuple(digits)
+    def _level_digits(self, level: int) -> tuple[int, ...]:
+        return (level,)
 
 
-class QubitEncoding:
+class QubitEncoding(_RotorEncoding):
     """Binary embedding: each site's d levels in ``ceil(log2 d)`` qubits.
 
     Site level ``m + s`` (shifted to 0-based) maps to the computational
@@ -131,7 +164,7 @@ class QubitEncoding:
     """
 
     def __init__(self, chain: RotorChain) -> None:
-        self.chain = chain
+        super().__init__(chain)
         self.qubits_per_site = max(1, math.ceil(math.log2(chain.site_dim)))
         self.n_qubits = self.qubits_per_site * chain.n_sites
         self._step_cache: dict[float, tuple[QuditCircuit, int]] = {}
@@ -169,6 +202,12 @@ class QubitEncoding:
         start = site * self.qubits_per_site
         return list(range(start, start + self.qubits_per_site))
 
+    def _site_wires(self, site: int) -> tuple[int, ...]:
+        return tuple(self.site_qubits(site))
+
+    def _site_operator(self, operator: np.ndarray) -> np.ndarray:
+        return self._embed_site_operator(operator, 1)
+
     # ------------------------------------------------------------------
     # circuits
     # ------------------------------------------------------------------
@@ -199,45 +238,8 @@ class QubitEncoding:
         """Every CNOT counts as one entangling-equivalent."""
         return 1 if instruction_name == "cnot" else 0
 
-    def total_lz_operator(self) -> np.ndarray:
-        """Dense embedded ``sum_i Lz_i`` over the qubit register."""
-        total = self.local_lz_operator(0)
-        for site in range(1, self.chain.n_sites):
-            total = total + self.local_lz_operator(site)
-        return total
-
-    def local_lz_operator(self, site: int) -> np.ndarray:
-        """Dense embedded ``Lz`` on one site over the qubit register."""
-        embedded = self._embed_site_operator(self.chain.ops.lz(), 1)
-        return embed_unitary(embedded, self.dims, tuple(self.site_qubits(site)))
-
-    def local_lz(self, site: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        """``Lz`` on one site as an ``(operator, wires)`` pair over its qubit group."""
-        embedded = self._embed_site_operator(self.chain.ops.lz(), 1)
-        return embedded, tuple(self.site_qubits(site))
-
-    def local_link_operator(self, site: int) -> np.ndarray:
-        """Dense embedded ``U + U†`` on one site over the qubit register."""
-        raising = self.chain.ops.raising()
-        embedded = self._embed_site_operator(raising + raising.conj().T, 1)
-        return embed_unitary(embedded, self.dims, tuple(self.site_qubits(site)))
-
-    def initial_state_digits(self) -> tuple[int, ...]:
-        """Qubit digits encoding the ``m = 0`` everywhere product state."""
-        return self.product_state_digits([0] * self.chain.n_sites)
-
-    def product_state_digits(self, m_values: list[int]) -> tuple[int, ...]:
-        """Qubit digits of the product state with given ``m`` per site."""
-        spin = self.chain.ops.spin
-        bits: list[int] = []
-        for m in m_values:
-            if not -spin <= m <= spin:
-                raise DimensionError(f"m={m} outside truncation +-{spin}")
-            level = m + spin
-            bits.extend(
-                int(b) for b in format(level, f"0{self.qubits_per_site}b")
-            )
-        return tuple(bits)
+    def _level_digits(self, level: int) -> tuple[int, ...]:
+        return tuple(int(b) for b in format(level, f"0{self.qubits_per_site}b"))
 
 
 def insert_depolarizing_noise(

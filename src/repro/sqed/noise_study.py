@@ -20,16 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.density import DensityMatrix
+from ..core.backends import get_backend
 from ..core.exceptions import SimulationError
-from ..core.statevector import Statevector
 from .encodings import QubitEncoding, QuditEncoding, insert_depolarizing_noise
 from .rotor import RotorChain
-from .trotter import (
-    evolve_observable_trajectory,
-    evolve_observable_trajectory_backend,
-    evolve_observable_trajectory_mc,
-)
+from .trotter import evolve_observable_trajectory
 
 __all__ = [
     "trajectory_damage",
@@ -40,11 +35,6 @@ __all__ = [
     "damage_campaign",
     "noise_threshold_campaign",
 ]
-
-
-def _initial_density(encoding, m_values: list[int]) -> DensityMatrix:
-    digits = encoding.product_state_digits(m_values)
-    return DensityMatrix.from_statevector(Statevector.basis(encoding.dims, digits))
 
 
 def _excitation_profile(n_sites: int) -> list[int]:
@@ -70,7 +60,10 @@ def trajectory_damage(
     """RMS deviation of the noisy <Lz_site(t)> trajectory from noiseless.
 
     Both trajectories use the *same* Trotter circuit, isolating the effect
-    of noise from Trotter error (ref [11] scores the same way).
+    of noise from Trotter error (ref [11] scores the same way).  Every
+    method records them with the one stepwise driver
+    (:func:`~repro.sqed.trotter.evolve_observable_trajectory`) on the
+    encoding's local ``local_lz(site)`` pair, so only the engine differs.
 
     Args:
         encoding: :class:`QuditEncoding` or :class:`QubitEncoding`.
@@ -78,15 +71,20 @@ def trajectory_damage(
         t_total: evolution window.
         n_steps: Trotter steps.
         site: probed lattice site.
-        method: ``"density"`` for the exact density-matrix evolution (the
-            seed behaviour), ``"trajectories"`` for the batched Monte-Carlo
-            unravelling once ``D^2`` no longer fits, ``"mps"`` for the
-            bond-truncated matrix-product-state engine (memory independent
-            of ``D``, but channels are unravelled stochastically), or
-            ``"lpdo"`` for the locally-purified density-MPO engine —
-            *exact* channel application at MPS-like cost, so damage scores
-            at 9-16 qutrits carry no Monte-Carlo noise at all.
-        n_trajectories: stochastic batch width (``"trajectories"``/``"mps"``).
+        method: any registered backend name
+            (:func:`~repro.core.backends.available_backends`).
+            ``"density"`` is the exact density-matrix evolution,
+            ``"trajectories"`` the batched Monte-Carlo unravelling once
+            ``D^2`` no longer fits, ``"mps"`` the bond-truncated
+            matrix-product-state engine (memory independent of ``D``, but
+            channels are unravelled stochastically), ``"lpdo"`` the
+            locally-purified density-MPO engine — *exact* channel
+            application at MPS-like cost, so damage scores at 9-16
+            qutrits carry no Monte-Carlo noise — and ``"auto"`` lets the
+            cost model pick (sampling engines stay out, so the density
+            matrix while ``D^2`` fits and the LPDO beyond).
+        n_trajectories: stochastic width of the noisy run (``"trajectories"``
+            / ``"mps"``); the noiseless run is deterministic and uses one.
         rng: generator / seed for the stochastic methods (defaults to a
             fixed seed so threshold bisection sees a deterministic score).
         max_bond: bond-dimension cap (``"mps"``/``"lpdo"``).  The ``0``
@@ -104,78 +102,39 @@ def trajectory_damage(
 
     Returns:
         RMS trajectory deviation (0 for epsilon = 0).
+
+    Raises:
+        SimulationError: for a negative epsilon or an unregistered method.
     """
     if epsilon < 0:
         raise SimulationError("epsilon must be >= 0")
-    if method not in ("density", "trajectories", "mps", "lpdo", "auto"):
-        raise SimulationError(f"unknown damage method {method!r}")
     contract = target_error is not None and method == "auto"
     if max_bond == 0:
         max_bond = None if contract else 64
     if max_kraus == 0:
         max_kraus = None if contract else 16
     auto_options = {"target_error": target_error} if contract else {}
-    chain = encoding.chain
-    m_values = _excitation_profile(chain.n_sites)
-    dt = t_total / n_steps
-    clean_step = encoding.trotter_step(dt)
-    if method == "density":
-        observable = encoding.local_lz_operator(site)
-        initial = _initial_density(encoding, m_values)
-        clean = evolve_observable_trajectory(
-            clean_step, n_steps, observable, initial
-        )
-    elif method == "mps":
-        local_op, op_targets = encoding.local_lz(site)
-        digits = encoding.product_state_digits(m_values)
-        # Noiseless step: deterministic, one trajectory is exact (up to chi).
-        clean = evolve_observable_trajectory_backend(
-            clean_step, n_steps, local_op, op_targets, digits,
-            method="mps", n_trajectories=1, rng=rng, max_bond=max_bond,
-        )
-    elif method in ("lpdo", "auto"):
-        local_op, op_targets = encoding.local_lz(site)
-        digits = encoding.product_state_digits(m_values)
-        # Exact (deterministic) noisy evolution: no trajectories, no rng.
-        # "auto" keeps sampling engines out (allow_sampling defaults off),
-        # so the cost model picks the density matrix while D^2 fits and the
-        # LPDO beyond — deterministic damage scores either way.
-        clean = evolve_observable_trajectory_backend(
-            clean_step, n_steps, local_op, op_targets, digits,
-            method=method, max_bond=max_bond, max_kraus=max_kraus,
-            **auto_options,
-        )
-    else:
-        observable = encoding.local_lz_operator(site)
-        digits = encoding.product_state_digits(m_values)
-        initial_sv = Statevector.basis(encoding.dims, digits)
-        # Noiseless step: a single trajectory is exact (no stochastic jumps).
-        clean = evolve_observable_trajectory_mc(
-            clean_step, n_steps, observable, initial_sv, 1, rng=rng
-        )
+    backend = get_backend(
+        method, max_bond=max_bond, max_kraus=max_kraus, **auto_options
+    )
     if epsilon == 0:
         return 0.0
+    digits = encoding.product_state_digits(_excitation_profile(encoding.chain.n_sites))
+    operator, targets = encoding.local_lz(site)
+    clean_step = encoding.trotter_step(t_total / n_steps)
+
+    def lz_trajectory(step, width: int) -> np.ndarray:
+        initial = backend.prepare(
+            encoding.dims, digits, n_trajectories=width, rng=rng
+        )
+        return evolve_observable_trajectory(
+            backend, initial, step, n_steps, operator, targets
+        )
+
+    # The noiseless step draws nothing, so one stochastic trajectory is exact.
+    clean = lz_trajectory(clean_step, 1)
     noisy_step = insert_depolarizing_noise(clean_step, encoding, epsilon)
-    if method == "density":
-        noisy = evolve_observable_trajectory(
-            noisy_step, n_steps, observable, initial
-        )
-    elif method == "mps":
-        noisy = evolve_observable_trajectory_backend(
-            noisy_step, n_steps, local_op, op_targets, digits,
-            method="mps", n_trajectories=n_trajectories, rng=rng,
-            max_bond=max_bond,
-        )
-    elif method in ("lpdo", "auto"):
-        noisy = evolve_observable_trajectory_backend(
-            noisy_step, n_steps, local_op, op_targets, digits,
-            method=method, max_bond=max_bond, max_kraus=max_kraus,
-            **auto_options,
-        )
-    else:
-        noisy = evolve_observable_trajectory_mc(
-            noisy_step, n_steps, observable, initial_sv, n_trajectories, rng=rng
-        )
+    noisy = lz_trajectory(noisy_step, n_trajectories)
     return float(np.sqrt(np.mean((noisy - clean) ** 2)))
 
 
@@ -202,14 +161,12 @@ def noise_threshold(
 
     Args:
         method, n_trajectories, rng, max_bond, max_kraus, target_error:
-            forwarded to
-            :func:`trajectory_damage` — ``method="trajectories"`` scores
-            damage with the batched Monte-Carlo engine for registers too
-            large for a density matrix, ``method="mps"`` with the
-            bond-truncated MPS engine for chains too long for any dense
-            backend, and ``method="lpdo"`` with the locally-purified
-            density-MPO engine, whose damage scores are *exact* (no
-            Monte-Carlo jitter in the bisection) at the same scale.
+            forwarded to :func:`trajectory_damage`.  ``method`` is any
+            registered backend name and every one runs through the same
+            stepwise driver: ``"density"`` (the default) and ``"lpdo"``
+            score exactly, so the bisection sees no Monte-Carlo jitter;
+            ``"trajectories"`` and ``"mps"`` unravel the noise for
+            registers too large for a density matrix.
 
     Returns:
         Threshold epsilon (clamped to ``eps_hi`` if never exceeded, and to

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.fitting import dominant_frequency
+from ..core.backends import DensityResult, get_backend
 from ..core.density import DensityMatrix
 from ..core.exceptions import SimulationError
 from ..core.statevector import Statevector
@@ -58,6 +59,9 @@ def trotter_gap_trajectory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``<O(t)>`` under (optionally noisy) Trotter evolution.
 
+    Runs the shared stepwise driver on the density engine, so noise is
+    applied exactly.
+
     Args:
         chain: rotor model.
         observable: dense operator over the register.
@@ -73,8 +77,12 @@ def trotter_gap_trajectory(
     if epsilon > 0:
         step = insert_depolarizing_noise(step, encoding, epsilon)
     psi0 = gap_probe_state(chain)
-    initial = DensityMatrix.from_statevector(Statevector(psi0, chain.dims))
-    values = evolve_observable_trajectory(step, n_steps, observable, initial)
+    initial = DensityResult(
+        DensityMatrix.from_statevector(Statevector(psi0, chain.dims))
+    )
+    values = evolve_observable_trajectory(
+        get_backend("density"), initial, step, n_steps, observable
+    )
     times = np.linspace(0.0, t_total, n_steps + 1)
     return times, values
 

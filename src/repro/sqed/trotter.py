@@ -2,8 +2,10 @@
 
 Builds first- and second-order product-formula circuits from any object
 exposing ``terms()`` (both :class:`~repro.sqed.rotor.RotorChain` and
-:class:`~repro.sqed.rotor2d.RotorLadder2D`), and provides the density-
-matrix evolution driver used by the encoding noise study.
+:class:`~repro.sqed.rotor2d.RotorLadder2D`), and provides the one stepwise
+observable driver, :func:`evolve_observable_trajectory`, that both the
+encoding noise study and the mass-gap pipeline run on any registered
+backend (:mod:`repro.core.backends`).
 """
 
 from __future__ import annotations
@@ -13,19 +15,15 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from ..core.backends import BackendResult, SimulationBackend
 from ..core.circuit import QuditCircuit
-from ..core.density import DensityMatrix
 from ..core.exceptions import SimulationError
-from ..core.statevector import Statevector
-from ..core.trajectories import TrajectorySimulator
 
 __all__ = [
     "trotter_step_from_terms",
     "second_order_step_from_terms",
     "trotter_circuit",
     "evolve_observable_trajectory",
-    "evolve_observable_trajectory_mc",
-    "evolve_observable_trajectory_backend",
     "exact_observable_trajectory",
 ]
 
@@ -78,18 +76,29 @@ def trotter_circuit(model, t_total: float, n_steps: int, order: int = 1) -> Qudi
 
 
 def evolve_observable_trajectory(
+    backend: SimulationBackend,
+    initial: BackendResult,
     step_circuit: QuditCircuit,
     n_steps: int,
-    observable: np.ndarray,
-    initial: DensityMatrix,
+    operator: np.ndarray,
+    targets: int | Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Apply a step circuit repeatedly, recording ``Tr(rho O)`` after each step.
+    """Apply a step circuit repeatedly, recording ``<O>`` after each step.
+
+    One driver for every registered engine: the state stays the engine's
+    own :class:`~repro.core.backends.BackendResult` between steps, so a
+    stochastic engine continues its random stream and a tensor-network
+    engine never densifies.  A *local* ``(operator, targets)`` pair is the
+    only observable form that scales past ~9 qutrits; ``targets=None``
+    takes ``operator`` over the full register.
 
     Args:
+        backend: a registered engine (:func:`~repro.core.backends.get_backend`).
+        initial: starting state, e.g. from ``backend.prepare(...)``.
         step_circuit: one (possibly noise-instrumented) Trotter step.
         n_steps: repetitions.
-        observable: dense operator over the full register.
-        initial: starting state.
+        operator: observable over the ``targets`` wires.
+        targets: wire(s) the operator acts on (``None`` = all of them).
 
     Returns:
         Array of ``n_steps + 1`` real expectation values (index 0 is t=0).
@@ -98,111 +107,6 @@ def evolve_observable_trajectory(
         raise SimulationError("need at least one step")
     values = np.empty(n_steps + 1)
     state = initial
-    values[0] = float(np.real(state.expectation(observable)))
-    for step in range(n_steps):
-        state = state.evolve(step_circuit)
-        values[step + 1] = float(np.real(state.expectation(observable)))
-    return values
-
-
-def evolve_observable_trajectory_mc(
-    step_circuit: QuditCircuit,
-    n_steps: int,
-    observable: np.ndarray,
-    initial: Statevector,
-    n_trajectories: int,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Monte-Carlo analogue of :func:`evolve_observable_trajectory`.
-
-    Evolves ``n_trajectories`` stochastic pure-state trajectories *as one
-    batch* through the (noise-instrumented) step circuit, recording the
-    trajectory-averaged ``<psi|O|psi>`` after every step.  This is the
-    scalable path for registers whose density matrix no longer fits —
-    memory is ``O(D * n_trajectories)`` instead of ``O(D^2)``.
-
-    Args:
-        step_circuit: one (possibly noisy) Trotter step.
-        n_steps: repetitions.
-        observable: dense operator over the full register.
-        initial: starting pure state.
-        n_trajectories: batch width of the stochastic average.
-        rng: generator / seed threaded into every jump and measurement.
-
-    Returns:
-        Array of ``n_steps + 1`` real expectation values (index 0 is t=0).
-    """
-    if n_steps < 1:
-        raise SimulationError("need at least one step")
-    if n_trajectories < 1:
-        raise SimulationError("need at least one trajectory")
-    simulator = TrajectorySimulator(step_circuit, seed=rng)
-    observable = np.asarray(observable, dtype=complex)
-    dim = initial.dim
-    batch = np.ascontiguousarray(
-        np.broadcast_to(
-            initial.tensor[..., None], initial.tensor.shape + (n_trajectories,)
-        )
-    )
-    values = np.empty(n_steps + 1)
-
-    def _mean_expectation(states: np.ndarray) -> float:
-        flat = states.reshape(dim, n_trajectories)
-        vals = np.real(np.einsum("ib,ij,jb->b", flat.conj(), observable, flat))
-        return float(vals.mean())
-
-    values[0] = _mean_expectation(batch)
-    for step in range(n_steps):
-        batch = simulator.evolve_states(batch)
-        values[step + 1] = _mean_expectation(batch)
-    return values
-
-
-def evolve_observable_trajectory_backend(
-    step_circuit: QuditCircuit,
-    n_steps: int,
-    operator: np.ndarray,
-    targets: int | Sequence[int],
-    initial_digits: Sequence[int],
-    method: str = "mps",
-    n_trajectories: int = 1,
-    rng: np.random.Generator | int | None = None,
-    **backend_options,
-) -> np.ndarray:
-    """Backend-agnostic analogue of :func:`evolve_observable_trajectory`.
-
-    Evolves through the unified registry (:mod:`repro.core.backends`), so
-    the same driver records ``<O(t)>`` on any engine — in particular the
-    MPS backend, whose *local* ``(operator, targets)`` observable form is
-    the only one that scales past ~9 qutrits (a dense embedded operator
-    can no longer be built there).
-
-    Args:
-        step_circuit: one (possibly noise-instrumented) Trotter step.
-        n_steps: repetitions.
-        operator: local operator over the ``targets`` wires only.
-        targets: wire(s) the operator acts on.
-        initial_digits: computational-basis digits of the starting state.
-        method: registered backend name (``"mps"``, ``"density"``, ...).
-        n_trajectories: stochastic width for unravelling backends.
-        rng: generator / seed threaded through all stochastic draws.
-        **backend_options: engine knobs (``max_bond``, ``svd_tol``, ...).
-
-    Returns:
-        Array of ``n_steps + 1`` real expectation values (index 0 is t=0).
-    """
-    from ..core.backends import get_backend
-
-    if n_steps < 1:
-        raise SimulationError("need at least one step")
-    backend = get_backend(method, **backend_options)
-    state = backend.prepare(
-        step_circuit.dims,
-        digits=initial_digits,
-        n_trajectories=n_trajectories,
-        rng=rng,
-    )
-    values = np.empty(n_steps + 1)
     values[0] = state.expectation(operator, targets)
     for step in range(n_steps):
         state = backend.run(step_circuit, initial=state)

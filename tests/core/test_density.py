@@ -268,3 +268,25 @@ class TestStructuredChannelFastPath:
         qc.channel(dephasing(3, 0.4).kraus, 0, name="deph")
         structures = qc.instructions[0].kraus_structures()
         assert all(s.kind == "diagonal" for s in structures)
+
+    @pytest.mark.parametrize(
+        "channel, targets",
+        [
+            (depolarizing(9, 0.05), (0, 1)),
+            (depolarizing(3, 0.3), (2,)),
+            (depolarizing(9, 0.2), (2, 0)),
+            (photon_loss(3, 0.35), (1,)),
+            (dephasing(3, 0.4), (0,)),
+        ],
+        ids=["depol-pair", "depol-one", "depol-reversed", "loss", "dephasing"],
+    )
+    def test_apply_channel_matches_apply_kraus(self, channel, targets):
+        """apply_channel takes evolve's routes; apply_kraus is the loop."""
+        rng = np.random.default_rng(7)
+        dims = (3, 3, 3)
+        state = DensityMatrix.from_statevector(
+            Statevector(random_statevector(27, rng), dims)
+        )
+        fast = state.apply_channel(channel, targets)
+        reference = state.apply_kraus(channel.kraus, targets)
+        np.testing.assert_allclose(fast.matrix, reference.matrix, rtol=0, atol=1e-12)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import DensityMatrix, Statevector
+from repro.core import DensityMatrix, Statevector, get_backend
+from repro.core.backends import DensityResult
 from repro.core.exceptions import SimulationError
 from repro.sqed import (
     QubitEncoding,
@@ -13,9 +14,11 @@ from repro.sqed import (
     estimate_mass_gap,
     exact_gap_trajectory,
     gap_probe_state,
+    insert_depolarizing_noise,
     noise_threshold,
     trajectory_damage,
     trotter_circuit,
+    trotter_gap_trajectory,
 )
 from repro.sqed.trotter import (
     evolve_observable_trajectory,
@@ -72,8 +75,9 @@ class TestTrajectories:
         encoding = QuditEncoding(chain)
         step = encoding.trotter_step(0.1)
         obs = encoding.local_lz_operator(0)
-        initial = DensityMatrix.zero(encoding.dims)
-        traj = evolve_observable_trajectory(step, 5, obs, initial)
+        backend = get_backend("density")
+        initial = backend.prepare(encoding.dims)
+        traj = evolve_observable_trajectory(backend, initial, step, 5, obs)
         assert traj.shape == (6,)
 
     def test_trotter_matches_exact_trajectory(self, chain):
@@ -83,8 +87,12 @@ class TestTrajectories:
         times = np.linspace(0, 2.0, 21)
         exact = exact_observable_trajectory(chain.to_matrix(), obs, psi0, times)
         step = encoding.trotter_step(0.1)
-        initial = DensityMatrix.from_statevector(Statevector(psi0, chain.dims))
-        trotter = evolve_observable_trajectory(step, 20, obs, initial)
+        initial = DensityResult(
+            DensityMatrix.from_statevector(Statevector(psi0, chain.dims))
+        )
+        trotter = evolve_observable_trajectory(
+            get_backend("density"), initial, step, 20, obs
+        )
         assert np.abs(exact - trotter).max() < 0.02
 
 
@@ -280,37 +288,126 @@ class TestNoiseStudy:
 
 class TestBackendObservableDriver:
     def test_backend_driver_matches_density_driver(self, chain):
-        from repro.core import DensityMatrix, Statevector
-        from repro.sqed.trotter import (
-            evolve_observable_trajectory,
-            evolve_observable_trajectory_backend,
-        )
-
         encoding = QuditEncoding(chain)
         step = encoding.trotter_step(0.25)
         digits = encoding.product_state_digits([1] + [0] * (chain.n_sites - 1))
-        initial = DensityMatrix.from_statevector(
-            Statevector.basis(encoding.dims, digits)
-        )
-        reference = evolve_observable_trajectory(
-            step, 5, encoding.local_lz_operator(0), initial
-        )
+        # Reference: the density matrix stepped and read by hand.
+        rho = DensityMatrix.basis(encoding.dims, digits)
+        lz0 = encoding.local_lz_operator(0)
+        reference = [np.real(rho.expectation(lz0))]
+        for _ in range(5):
+            rho = rho.evolve(step)
+            reference.append(np.real(rho.expectation(lz0)))
         operator, targets = encoding.local_lz(0)
-        for method in ("density", "mps", "lpdo"):
-            values = evolve_observable_trajectory_backend(
-                step, 5, operator, targets, digits, method=method
+        for method in ("density", "mps", "lpdo", "trajectories", "auto"):
+            backend = get_backend(method)
+            initial = backend.prepare(encoding.dims, digits, n_trajectories=1)
+            values = evolve_observable_trajectory(
+                backend, initial, step, 5, operator, targets
             )
             np.testing.assert_allclose(values, reference, atol=1e-8)
 
     def test_qubit_encoding_local_lz_runs_through_mps(self, chain):
-        from repro.sqed.trotter import evolve_observable_trajectory_backend
-
         encoding = QubitEncoding(chain)
         operator, targets = encoding.local_lz(0)
         assert list(targets) == encoding.site_qubits(0)
         digits = encoding.product_state_digits([0] * chain.n_sites)
-        values = evolve_observable_trajectory_backend(
-            encoding.trotter_step(0.25), 3, operator, targets, digits,
-            method="mps",
+        backend = get_backend("mps")
+        values = evolve_observable_trajectory(
+            backend,
+            backend.prepare(encoding.dims, digits),
+            encoding.trotter_step(0.25),
+            3,
+            operator,
+            targets,
         )
         assert values.shape == (4,)
+
+    def test_rejects_zero_steps(self, chain):
+        encoding = QuditEncoding(chain)
+        backend = get_backend("density")
+        with pytest.raises(SimulationError):
+            evolve_observable_trajectory(
+                backend,
+                backend.prepare(encoding.dims),
+                encoding.trotter_step(0.25),
+                0,
+                *encoding.local_lz(0),
+            )
+
+
+#: ``trajectory_damage`` values recorded before every method shared one
+#: stepwise driver: ``(encoding, method, epsilon, damage)`` on the 2-site
+#: qutrit chain.  Each method's options are in ``_PINNED_OPTIONS``.
+_PINNED_DAMAGE = [
+    ("qudit", "density", 0.01, 0.02514955349583776),
+    ("qudit", "density", 0.05, 0.11891125583164139),
+    ("qudit", "trajectories", 0.01, 3.451823661381864e-16),
+    ("qudit", "trajectories", 0.05, 0.13323593340742235),
+    ("qudit", "auto", 0.01, 0.02514955349583779),
+    ("qudit", "auto", 0.05, 0.11891125583164135),
+    ("qudit", "mps", 0.01, 0.0),
+    ("qudit", "mps", 0.05, 0.007895467852720741),
+    ("qudit", "lpdo", 0.01, 0.002222710907947609),
+    ("qudit", "lpdo", 0.05, 0.011074025738300224),
+    ("qubit", "density", 0.01, 0.6236207046922958),
+    ("qubit", "density", 0.05, 0.7716238469001098),
+    ("qubit", "trajectories", 0.01, 0.4340185138120703),
+    ("qubit", "trajectories", 0.05, 0.8040042358502767),
+    ("qubit", "auto", 0.01, 0.6236207046922978),
+    ("qubit", "auto", 0.05, 0.7716238469001117),
+    ("qubit", "mps", 0.01, 0.1650262119882884),
+    ("qubit", "mps", 0.05, 0.6780361105266299),
+    ("qubit", "lpdo", 0.01, 0.28442085230799524),
+    ("qubit", "lpdo", 0.05, 0.5556672418130963),
+]
+
+_PINNED_OPTIONS = {
+    "density": dict(t_total=1.0, n_steps=2),
+    "trajectories": dict(t_total=1.0, n_steps=2, n_trajectories=8, rng=0),
+    "auto": dict(t_total=1.0, n_steps=2),
+    "mps": dict(t_total=0.5, n_steps=1, n_trajectories=2, max_bond=8, rng=0),
+    "lpdo": dict(t_total=0.5, n_steps=1, max_bond=4, max_kraus=4),
+}
+
+
+class TestSharedDriverPinned:
+    """Routing every method through one driver left the scores unchanged."""
+
+    @pytest.mark.parametrize(
+        "encoding, method, epsilon, expected",
+        _PINNED_DAMAGE,
+        ids=[f"{enc}-{method}-{eps}" for enc, method, eps, _ in _PINNED_DAMAGE],
+    )
+    def test_damage_matches_pinned_value(
+        self, chain, encoding, method, epsilon, expected
+    ):
+        cls = QuditEncoding if encoding == "qudit" else QubitEncoding
+        damage = trajectory_damage(
+            cls(chain), epsilon, method=method, **_PINNED_OPTIONS[method]
+        )
+        if method == "density":
+            # Read on the site's reduced state, the expectation rounds
+            # differently from the full-register operator the pins used.
+            assert abs(damage - expected) <= 1e-12
+        else:
+            assert damage == expected
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    def test_gap_trajectory_matches_inline_density_loop(self, epsilon):
+        chain = RotorChain(3, spin=1, g2=1.0, hopping=0.3)
+        encoding = QuditEncoding(chain)
+        obs = encoding.local_link_operator(0)
+        times, values = trotter_gap_trajectory(chain, obs, 3.0, 12, epsilon)
+        step = encoding.trotter_step(3.0 / 12)
+        if epsilon > 0:
+            step = insert_depolarizing_noise(step, encoding, epsilon)
+        rho = DensityMatrix.from_statevector(
+            Statevector(gap_probe_state(chain), chain.dims)
+        )
+        reference = [float(np.real(rho.expectation(obs)))]
+        for _ in range(12):
+            rho = rho.evolve(step)
+            reference.append(float(np.real(rho.expectation(obs))))
+        assert values.tolist() == reference
+        assert times.tolist() == np.linspace(0.0, 3.0, 13).tolist()

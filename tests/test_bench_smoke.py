@@ -188,7 +188,9 @@ def test_exec_bench_smoke(tmp_path):
         overhead_points=16,
         overhead_delay_ms=25.0,
         obs_qudits=5,
-        obs_gate_loops=2,
+        # A few ms per repeat (20 statevector runs), so the disabled-ratio
+        # guard below compares times far above the timer's resolution.
+        obs_gate_loops=20,
         obs_repeats=3,
         autopilot_points=6,
         autopilot_target=1e-6,

@@ -11,11 +11,19 @@ simulator below:
 2. **Noisy-trajectory throughput**: 200 trajectories of a 7-qutrit
    NDAR-style circuit (QAOA layer + per-layer photon loss), batched engine
    vs the seed per-trajectory loop.
+3. **E-C1 on the density engine** (``ec1_density``): one noisy Trotter
+   step of the binary-encoded 2-site rotor chain (the ``paperbench``
+   ``ec1_threshold`` size, 4 qubits) and the whole E-C1 comparison at
+   ``bench_encoding_noise`` size, with the step's agreement with the
+   operator-by-operator ``apply_kraus`` loop and its compiled-op count.
+   Given ``--parent-src DIR`` (the ``src`` directory of another checkout,
+   e.g. extracted by ``git archive <rev> | tar -x -C <dir>``), the same timings
+   run against that tree too, each side in a fresh interpreter.
 
 Run as a script to (re)generate the committed ``BENCH_core.json`` at the
 repo root::
 
-    PYTHONPATH=src python benchmarks/bench_core_engine.py
+    PYTHONPATH=src python benchmarks/bench_core_engine.py [--parent-src DIR]
 
 The ``bench_smoke`` tier-1 tests call :func:`run_benchmarks` at tiny sizes
 to catch fast-path regressions without slowing the suite; full-size runs
@@ -24,20 +32,26 @@ stay opt-in.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.core import QuditCircuit, Statevector, TrajectorySimulator
+from repro.core import DensityMatrix, QuditCircuit, Statevector, TrajectorySimulator
 from repro.core.dims import index_to_digits, total_dim
 from repro.core.statevector import apply_matrix, apply_matrix_dense
 from repro.core.structure import classify_gate
 from repro.core import gates
 from repro.qaoa import random_coloring_instance
 from repro.qaoa.circuits import add_photon_loss, qaoa_circuit
+from repro.sqed import RotorChain, compare_encodings
+from repro.sqed.encodings import QubitEncoding, insert_depolarizing_noise
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_core.json"
@@ -212,11 +226,103 @@ def _bench_trajectories(n_nodes: int, n_trajectories: int) -> dict:
     }
 
 
+def _noisy_qubit_step() -> tuple[QubitEncoding, QuditCircuit]:
+    """The ``ec1_threshold`` qubit point's step: 2 sites, one step of dt 3."""
+    encoding = QubitEncoding(RotorChain(n_sites=2, spin=1, g2=1.0, hopping=0.3))
+    step = encoding.trotter_step(3.0)
+    return encoding, insert_depolarizing_noise(step, encoding, 0.01)
+
+
+def _ec1_timings(step_repeats: int, ec1_bench: bool) -> dict:
+    """Time the noisy step and (optionally) E-C1 with the public API only,
+    so the same code can time another checkout's library."""
+    encoding, step = _noisy_qubit_step()
+    rho = DensityMatrix.basis(encoding.dims, encoding.product_state_digits([1, 0]))
+    rho.evolve(step)  # compile and warm the plan
+    best = float("inf")
+    for _ in range(step_repeats):
+        start = time.perf_counter()
+        rho.evolve(step)
+        best = min(best, time.perf_counter() - start)
+    out = {"step_ms": round(best * 1e3, 3)}
+    if ec1_bench:
+        start = time.perf_counter()
+        result = compare_encodings(
+            RotorChain(n_sites=3, spin=1, g2=1.0, hopping=0.3),
+            damage_tol=0.1,
+            t_total=3.0,
+            n_steps=8,
+            bisection_steps=8,
+        )
+        out["ec1_s"] = round(time.perf_counter() - start, 3)
+        out["thresholds"] = [result.qudit_threshold, result.qubit_threshold]
+    return out
+
+
+def _ec1_timings_in(src: Path | str, step_repeats: int, ec1_bench: bool) -> dict:
+    """:func:`_ec1_timings` in a fresh interpreter on the library at ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    args = [sys.executable, __file__, "--ec1-timings", str(step_repeats)]
+    if ec1_bench:
+        args.append("--ec1-bench")
+    done = subprocess.run(args, env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _bench_ec1_density(
+    step_repeats: int, ec1_bench: bool, parent_src: Path | str | None
+) -> dict:
+    """The ``ec1_density`` record: timings plus the step's exactness and
+    compiled-op count against its plan."""
+    from repro.core.density import _compiled
+
+    encoding, step = _noisy_qubit_step()
+    rho = DensityMatrix.basis(encoding.dims, encoding.product_state_digits([1, 0]))
+    reference = rho
+    for ins in step:
+        reference = reference.apply_kraus(
+            [ins.matrix] if ins.kind == "unitary" else ins.kraus, ins.qudits
+        )
+    error = float(np.abs(rho.evolve(step).matrix - reference.matrix).max())
+    if ec1_bench:
+        change = _ec1_timings_in(REPO_ROOT / "src", step_repeats, ec1_bench)
+    else:
+        change = _ec1_timings(step_repeats, ec1_bench)
+    parent = (
+        _ec1_timings_in(parent_src, step_repeats, ec1_bench)
+        if parent_src is not None
+        else None
+    )
+    record = {
+        "noisy_qubit_step": {
+            "register": list(encoding.dims),
+            "instructions": len(step),
+            "plan_steps": len(step.plan()),
+            "compiled_ops": len(_compiled(step.plan(), encoding.dims)),
+            "max_error_vs_apply_kraus": error,
+            "change_ms": change["step_ms"],
+            "parent_ms": parent["step_ms"] if parent else None,
+        }
+    }
+    if ec1_bench:
+        record["ec1_bench_size"] = {
+            "chain": "RotorChain(3, spin=1), t_total=3, n_steps=8, bisection_steps=8",
+            "thresholds": change["thresholds"],
+            "change_s": change["ec1_s"],
+            "parent_s": parent["ec1_s"] if parent else None,
+            "parent_thresholds": parent["thresholds"] if parent else None,
+        }
+    return record
+
+
 def run_benchmarks(
     n_qutrits: int = 7,
     gate_repeats: int = 300,
     n_traj_nodes: int = 7,
     n_trajectories: int = 200,
+    ec1_step_repeats: int = 20,
+    ec1_bench: bool = True,
+    parent_src: Path | str | None = None,
     out_path: Path | str | None = None,
 ) -> dict:
     """Run the core-engine benchmark suite and optionally emit JSON.
@@ -226,6 +332,11 @@ def run_benchmarks(
         gate_repeats: timed repetitions per gate kernel.
         n_traj_nodes: qutrits in the NDAR-style trajectory circuit.
         n_trajectories: trajectory count for the throughput section.
+        ec1_step_repeats: timed runs of the noisy qubit step (best kept).
+        ec1_bench: also time E-C1 at ``bench_encoding_noise`` size
+            (tens of seconds; each side then runs in a fresh interpreter).
+        parent_src: ``src`` directory of another checkout to time the
+            ``ec1_density`` section against (``None``: this tree only).
         out_path: where to write the JSON report (``None`` = don't write).
 
     Returns:
@@ -243,6 +354,7 @@ def run_benchmarks(
         },
         "gate_apply": gate_apply,
         "trajectories": {"ndar_style": trajectories},
+        "ec1_density": _bench_ec1_density(ec1_step_repeats, ec1_bench, parent_src),
         "correctness": {"max_fastpath_vs_dense_error": max_error},
     }
     if out_path is not None:
@@ -251,7 +363,18 @@ def run_benchmarks(
 
 
 def main() -> None:
-    report = run_benchmarks(out_path=BENCH_JSON)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--parent-src", type=Path, default=None,
+        help="src directory of another checkout to time ec1_density against",
+    )
+    parser.add_argument("--ec1-timings", type=int, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--ec1-bench", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.ec1_timings is not None:
+        print(json.dumps(_ec1_timings(args.ec1_timings, args.ec1_bench)))
+        return
+    report = run_benchmarks(parent_src=args.parent_src, out_path=BENCH_JSON)
     print(json.dumps(report, indent=2))
     print(f"\nwrote {BENCH_JSON}")
 

@@ -1,28 +1,52 @@
 """Density-matrix simulation for noisy qudit circuits.
 
-Exact (non-stochastic) noisy simulation: the state is a full density matrix.
-:meth:`DensityMatrix.evolve` runs the circuit's compiled plan
-(:meth:`~repro.core.circuit.QuditCircuit.plan`) on the raw ``rho`` array
-and wraps it in a :class:`DensityMatrix` once at the end.  A unitary step
-applies through the statevector contraction engine (left multiplication on
-kets, right on bras, the bra side's structure from the shared structure
-table); a fused diagonal step ``f`` is one multiply by ``f ⊗ f̄``.  A
-channel takes the cheapest exact route its structure allows: a
-:func:`~repro.core.channels.depolarizing` channel applies in closed form
-(one partial trace and one add onto the target diagonal), an all-diagonal
-Kraus family as one elementwise multiply, a family on a contiguous target
-run as one batched contraction, and anything else operator by operator.
-Memory is ``O(D^2)``, so this backend is for small registers; larger noisy
+Exact (non-stochastic) noisy simulation: the state is a full density
+matrix.  :meth:`DensityMatrix.evolve` treats ``rho`` as a statevector on
+a *doubled* register, as QuEST does: one transpose on entry puts it in
+interleaved (ket₀, bra₀, ket₁, bra₁, …) leg order, so wire ``w`` is one
+axis of size ``d_w²`` holding its ket and bra legs side by side, and one
+transpose on exit restores the ``(D, D)`` matrix.  In between, each step
+of the circuit's compiled plan (:meth:`~repro.core.circuit.QuditCircuit.plan`)
+runs as one op on that register, compiled once and kept in
+:attr:`~repro.core.circuit.PlanStep.cache`:
+
+* a unitary is its superoperator ``U ⊗ Ū`` in interleaved leg order,
+  cached on the unitary's shared :class:`~repro.core.structure.GateStructure`
+  and applied by the statevector kernels, so a diagonal gate stays one
+  multiply, a permutation (CNOT, CSUM) one gather and a dense gate one
+  matmul over its contiguous target block;
+* a unitary followed by a depolarising channel on the same wires fuses
+  into one matrix, ``(1 − λ) U ⊗ Ū + (λ/d_S)|I⟩⟨I|`` (``⟨I|`` is the
+  partial trace, which unitary conjugation leaves invariant), where that
+  measures faster than the two steps: a dense gate, or any gate on at
+  most :data:`_MERGE_MAX_DIM` levels;
+* any other :func:`~repro.core.channels.depolarizing` channel applies in
+  closed form, ``(1 − λ) ρ + λ Tr_S(ρ) ⊗ I/d_S``: one gather and one
+  scatter-add on precomputed indices of the target diagonal;
+* another channel, or a reset, is its superoperator ``Σ K ⊗ K̄``, and a
+  fused diagonal plan step ``f`` is one multiply by ``f ⊗ f̄``.
+
+Then, as Qulacs fuses gates, consecutive superoperators whose wires nest
+inside a block of at most :data:`_MERGE_MAX_DIM` levels (two qubits)
+multiply into one, an op moving back past ops on other wires to meet
+its partner: a Pauli rotation's basis changes, CNOT ladder and noise on
+a qubit pair become one 16 x 16 matmul.  A superoperator on ``d_S``
+target levels has ``d_S⁴`` entries, so targets wider than
+:data:`_SUPEROP_MAX_DIM` levels apply their operators to the ket and bra
+legs in turn instead.  :meth:`DensityMatrix.apply_kraus` stays the
+operator-by-operator reference the tests compare against.
+Memory is ``O(D²)``, so this backend is for small registers; larger noisy
 circuits use :mod:`repro.core.trajectories`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
+from contextlib import ExitStack
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -31,6 +55,7 @@ from .circuit import Instruction, PlanStep, QuditCircuit
 from .dims import (
     digits_to_index,
     index_to_digits,
+    strides,
     total_dim,
     validate_dims,
     validate_wires,
@@ -38,208 +63,518 @@ from .dims import (
 from .exceptions import DimensionError
 from .rng import ensure_rng, sanitize_probabilities
 from .statevector import Statevector, _observed, apply_matrix
-from .structure import DIAGONAL, GateStructure, broadcast_over_targets, intern_structure
+from .structure import DENSE, DIAGONAL, GateStructure, classify_gate, intern_structure
 
 __all__ = ["DensityMatrix"]
 
+#: Widest target space (in levels) that compiles to a superoperator; its
+#: ``d_S⁴`` entries stay under 1 MB.  Wider gates and channels apply
+#: their operators to the ket and bra legs in turn.
+_SUPEROP_MAX_DIM = 16
+#: Widest block (in levels) that superoperators merge onto, and that a
+#: structured (diagonal or permutation) gate fuses with its noise on: a
+#: 16 x 16 dense superoperator costs about what a 4 x 4 one, a gather or
+#: the closed form does, while wider dense ones cost more than those.
+#: As every wire has at least two levels, a block holds at most two wires.
+_MERGE_MAX_DIM = 4
+#: How many earlier ops on other wires a new op may merge back past.
+_MERGE_WINDOW = 16
+#: Largest ``block * B`` for which a dense superoperator absorbs the
+#: trailing doubled axes into one GEMM (see :func:`_superop_op`).
+_FOLD_MAX_DIM = 16
 
-def _target_diagonal(
-    tensor: np.ndarray,
-    dims: tuple[int, ...],
-    targets: tuple[int, ...],
-    writeable: bool = False,
-) -> np.ndarray:
-    """Strided view of ``tensor`` where each target's ket and bra digits agree.
 
-    ``tensor`` has the ``dims + dims`` (ket, bra) axes of ``rho``.  The
-    view's axes are the other wires' kets, their bras, then one axis
-    per target; each target axis steps its ket and bra axes together.
-    """
+# ----------------------------------------------------------------------
+# the doubled register
+# ----------------------------------------------------------------------
+def _interleave(rho: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """``(D, D)`` matrix -> doubled-register tensor of shape ``(d_w²)``."""
     n = len(dims)
-    rest = [w for w in range(n) if w not in targets]
-    axes = rest + [w + n for w in rest]
-    shape = [tensor.shape[a] for a in axes] + [dims[t] for t in targets]
-    strides = [tensor.strides[a] for a in axes] + [
-        tensor.strides[t] + tensor.strides[t + n] for t in targets
-    ]
-    return as_strided(tensor, shape, strides, writeable=writeable)
+    order = [axis for w in range(n) for axis in (w, w + n)]
+    tensor = rho.reshape(dims * 2).transpose(order)
+    return tensor.reshape(tuple(d * d for d in dims))
 
 
-def _depolarize(
-    rho: np.ndarray, dims: tuple[int, ...], p: float, targets: tuple[int, ...]
+def _deinterleave(state: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Doubled-register tensor -> ``(D, D)`` matrix (inverse of :func:`_interleave`)."""
+    n = len(dims)
+    order = [2 * w for w in range(n)] + [2 * w + 1 for w in range(n)]
+    halves = tuple(d for d in dims for _ in (0, 1))
+    dim = total_dim(dims)
+    return state.reshape(halves).transpose(order).reshape(dim, dim)
+
+
+def _liouville(
+    kraus: Sequence[np.ndarray], gate_dims: tuple[int, ...], order: Sequence[int]
 ) -> np.ndarray:
-    """Depolarising channel in closed form.
+    """``Σ K ⊗ K̄`` with legs interleaved per wire, wires taken in ``order``.
+
+    ``kraus`` act on wires of ``gate_dims`` in matrix tensor order;
+    ``order`` lists those wires in ascending register position, so the
+    result acts on the doubled register's target axes in ascending order.
+    """
+    k = len(gate_dims)
+    ops = np.asarray(kraus, dtype=complex).reshape((-1,) + gate_dims * 2)
+    # axes of the product: out legs 0..k-1, in legs k..2k-1, then the
+    # conjugate's out legs 2k..3k-1 and in legs 3k..4k-1
+    product = np.tensordot(ops, ops.conj(), axes=(0, 0))
+    rows = [axis for j in order for axis in (j, 2 * k + j)]
+    cols = [axis for j in order for axis in (k + j, 3 * k + j)]
+    size = math.prod(gate_dims) ** 2
+    return product.transpose(rows + cols).reshape(size, size)
+
+
+@functools.lru_cache(maxsize=64)
+def _twirl(gate_dims: tuple[int, ...]) -> np.ndarray:
+    """``|I⟩⟨I| / d_S`` on interleaved target legs: ``Tr_S(·) ⊗ I/d_S``."""
+    identity = np.eye(math.prod(gate_dims)).reshape(gate_dims * 2)
+    k = len(gate_dims)
+    legs = [axis for j in range(k) for axis in (j, k + j)]
+    vec = identity.transpose(legs).reshape(-1)
+    out = np.outer(vec, vec) / math.prod(gate_dims)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _diagonal_indices(
+    dims: tuple[int, ...], targets: tuple[int, ...]
+) -> tuple[tuple[int, int, int], np.ndarray]:
+    """Where the targets' ket and bra digits agree, on the doubled register.
+
+    Returns ``(shape, indices)``: ``shape`` views the doubled register as
+    ``(A, block, B)`` with ``block`` the contiguous run of doubled axes
+    from the first to the last target wire, and ``indices`` (shape
+    ``(M, d_S)``) holds the block positions of the target diagonal, one
+    row per setting of the non-target wires inside the block.
+    """
+    lo, hi = min(targets), max(targets)
+    doubled = [d * d for d in dims]
+    inner = range(lo, hi + 1)
+    place = strides(tuple(doubled[lo : hi + 1]))
+    spectators = [w for w in inner if w not in targets]
+    axes = spectators + sorted(targets)
+    index = np.zeros([1] * len(axes), dtype=np.intp)
+    for pos, w in enumerate(axes):
+        if w in targets:
+            levels = np.arange(dims[w]) * (dims[w] + 1)
+        else:
+            levels = np.arange(doubled[w])
+        shape = [1] * len(axes)
+        shape[pos] = levels.size
+        index = index + (levels * place[w - lo]).reshape(shape)
+    d_s = math.prod(dims[t] for t in targets)
+    shape3 = (
+        math.prod(doubled[:lo]),
+        math.prod(doubled[lo : hi + 1]),
+        math.prod(doubled[hi + 1 :]),
+    )
+    index = index.reshape(-1, d_s)
+    index.flags.writeable = False
+    return shape3, index
+
+
+# ----------------------------------------------------------------------
+# op kernels: each maps the doubled-register tensor to a new one
+# ----------------------------------------------------------------------
+def _depolarize(
+    state: np.ndarray,
+    lam: float,
+    shape: tuple[int, int, int],
+    diagonal: np.ndarray,
+) -> np.ndarray:
+    """``(1 − λ) ρ + λ Tr_S(ρ) ⊗ I/d_S`` on the target diagonal's indices.
 
     The uniform average over the Weyl group twirls any operator to its
-    trace, so ``p`` spread over the ``d_S² - 1`` non-identity Weyl
-    operators gives ``(1 - λ) ρ + λ Tr_S(ρ) ⊗ I/d_S`` with
-    ``λ = p d_S² / (d_S² - 1)``: one partial trace over the targets and
-    one add onto their diagonal, in any target order.
+    trace, so ``p`` spread over the ``d_S² − 1`` non-identity Weyl
+    operators gives this form with ``λ = p d_S² / (d_S² − 1)``.
     """
-    d_s = math.prod(dims[t] for t in targets)
-    lam = p * d_s * d_s / (d_s * d_s - 1)
-    tensor = rho.reshape(dims * 2)
-    k = len(targets)
-    reduced = _target_diagonal(tensor, dims, targets).sum(axis=tuple(range(-k, 0)))
-    out = (1.0 - lam) * tensor
-    diagonal = _target_diagonal(out, dims, targets, writeable=True)
-    diagonal += (lam / d_s) * reduced[(...,) + (None,) * k]
-    return out.reshape(rho.shape)
+    view = state.reshape(shape)
+    reduced = view[:, diagonal, :].sum(axis=2)
+    out = (1.0 - lam) * view
+    out[:, diagonal, :] += (lam / diagonal.shape[1]) * reduced[:, :, None, :]
+    return out.reshape(state.shape)
 
 
-def _kraus_sum(
-    rho: np.ndarray,
-    dims: tuple[int, ...],
-    matrices: Sequence[np.ndarray],
-    structures: Sequence[GateStructure | None],
-    targets: tuple[int, ...],
+def _matmul(
+    state: np.ndarray, matrix: np.ndarray, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """``sum_i K_i rho K_i†`` on local targets, operator by operator."""
-    n = len(dims)
-    tensor = rho.reshape(dims + dims)
-    bra_targets = tuple(t + n for t in targets)
-    out = np.zeros_like(tensor)
-    for op, structure in zip(matrices, structures):
-        term = apply_matrix(tensor, op, dims * 2, targets, structure=structure)
+    """A dense superoperator on the middle axis of an ``(A, block, B)`` view."""
+    return np.matmul(matrix, state.reshape(shape)).reshape(state.shape)
+
+
+def _right_matmul(
+    state: np.ndarray, transposed: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """A dense superoperator on the trailing axes: ``(A, m) @ Sᵀ``."""
+    return (state.reshape(shape) @ transposed).reshape(state.shape)
+
+
+#: An operator and its conjugate, each with its shared structure.
+_Term = tuple[np.ndarray, GateStructure, np.ndarray, GateStructure]
+
+
+def _terms(kraus: Sequence[np.ndarray]) -> list[_Term]:
+    """The :func:`_sandwich` terms of a Kraus family."""
+    out = []
+    for op in kraus:
         conj = op.conj()
-        out += apply_matrix(
-            term, conj, dims * 2, bra_targets, structure=intern_structure(conj)
-        )
-    return out.reshape(rho.shape)
+        out.append((op, intern_structure(op), conj, intern_structure(conj)))
+    return out
 
 
-def _apply_local(
-    rho: np.ndarray,
-    dims: tuple[int, ...],
-    matrices: Sequence[np.ndarray],
-    structures: Sequence[GateStructure | None],
-    targets: tuple[int, ...],
+def _sandwich(
+    state: np.ndarray,
+    legs: tuple[int, ...],
+    ket: tuple[int, ...],
+    bra: tuple[int, ...],
+    terms: Sequence[_Term],
 ) -> np.ndarray:
-    """:func:`_kraus_sum`, observed as one gate apply."""
-    kinds = (s.kind for s in structures if s is not None)
-    args = (rho, dims, matrices, structures, targets)
-    return _observed("density", "gate", kinds, _kraus_sum, *args, kraus=len(matrices))
+    """``Σ K ρ K†`` operator by operator: ``state`` viewed with one axis
+    per ket and bra leg (``legs``), each operator applied to the ``ket``
+    axes and its conjugate to the ``bra`` axes."""
+    tensor = state.reshape(legs)
+    out = np.zeros_like(tensor)
+    for op, structure, conj, conj_structure in terms:
+        term = apply_matrix(tensor, op, legs, ket, structure)
+        out += apply_matrix(term, conj, legs, bra, conj_structure)
+    return out.reshape(state.shape)
 
 
-def _kraus_batched(
-    rho: np.ndarray,
-    dims: tuple[int, ...],
-    matrices: Sequence[np.ndarray],
-    targets: tuple[int, ...],
-) -> np.ndarray | None:
-    """Whole-family Kraus application as one batched contraction.
+class _Op:
+    """One compiled op on the doubled register: a plan step, or several
+    fused or merged into one.
 
-    For an ascending contiguous target run both the ket and the bra
-    target axes are contiguous in the ``rho`` tensor, so the state
-    reshapes (view, no copy) to ``(A, d_gate, B, d_gate, C)`` and the
-    entire family applies as a single einsum over the stacked
-    ``(m, d_gate, d_gate)`` operator array — two GEMMs instead of a
-    Python loop of ``2 m`` tensor contractions plus ``m`` accumulation
-    passes.  Returns ``None`` when the targets are not such a run
-    (caller falls back to the per-operator loop).
+    ``kernel(state, *args)`` returns the new state.  ``events`` are the
+    ``(event, kind, fields)`` telemetry records of the instructions it
+    runs — one per instruction, fused or not.  ``wires`` are the wires it
+    touches, ascending.  A superoperator op keeps ``local = (matrix,
+    structure)`` on those wires so that other ops can merge with it.
     """
-    k = len(targets)
-    first = targets[0]
-    if list(targets) != list(range(first, first + k)):
+
+    __slots__ = ("kernel", "args", "events", "wires", "local")
+
+    def __init__(
+        self, kernel, args: tuple, events: tuple, wires: tuple[int, ...], local=None
+    ) -> None:
+        self.kernel = kernel
+        self.args = args
+        self.events = events
+        self.wires = wires
+        self.local = local
+
+    def __call__(self, state: np.ndarray) -> np.ndarray:
+        return self.kernel(state, *self.args)
+
+
+def _kind(structures: Iterable[GateStructure]) -> str:
+    """The one structure kind of an operator family, or ``"mixed"``."""
+    seen = {s.kind for s in structures}
+    return seen.pop() if len(seen) == 1 else "mixed"
+
+
+def _superop_op(
+    matrix: np.ndarray,
+    structure: GateStructure,
+    dims: tuple[int, ...],
+    wires: tuple[int, ...],
+    events: tuple,
+) -> _Op:
+    """A superoperator on ascending ``wires`` of the doubled register.
+
+    A dense one on a contiguous wire run is a matmul over the
+    ``(A, block, B)`` view.  When ``block * B`` is small, the op absorbs
+    the trailing axes as ``S ⊗ I_B`` and runs as one GEMM on ``(A, block
+    * B)``: numpy's batched matmul pays per batch entry, which dominates
+    for many tiny blocks.  Anything else goes through the statevector
+    kernels, which keep diagonals and permutations structured.
+    """
+    doubled = tuple(d * d for d in dims)
+    lo, hi = wires[0], wires[-1]
+    local = (matrix, structure)
+    if structure.kind != DENSE or hi - lo + 1 != len(wires):
+        generic = (matrix, doubled, wires, structure)
+        return _Op(apply_matrix, generic, events, wires, local)
+    before = math.prod(doubled[:lo])
+    after = math.prod(doubled[hi + 1 :])
+    block = matrix.shape[0]
+    if block * after <= _FOLD_MAX_DIM:
+        folded = _kron(matrix, np.eye(after)).T.copy()
+        trailing = (folded, (before, block * after))
+        return _Op(_right_matmul, trailing, events, wires, local)
+    return _Op(_matmul, (matrix, (before, block, after)), events, wires, local)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices, without its generic overhead."""
+    m, k = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * k, m * k)
+
+
+def _embed(
+    matrix: np.ndarray,
+    wires: tuple[int, ...],
+    block: tuple[int, ...],
+    dims: tuple[int, ...],
+) -> np.ndarray:
+    """A superoperator on ``wires`` as one on ``block``: the same wires, or
+    one wire of a two-wire block."""
+    if wires == block:
+        return matrix
+    if wires[0] == block[0]:
+        return _kron(matrix, np.eye(dims[block[1]] ** 2))
+    return _kron(np.eye(dims[block[0]] ** 2), matrix)
+
+
+def _merged(first: _Op, second: _Op, dims: tuple[int, ...]) -> _Op | None:
+    """``second ∘ first`` as one superoperator, when that is cheap.
+
+    Only when both are superoperators, one's wires hold the other's, and
+    the larger spans at most :data:`_MERGE_MAX_DIM` levels.
+    """
+    if first.local is None or second.local is None:
         return None
-    size_a = math.prod(dims[:first])
-    size_c = math.prod(dims[first + k :])
-    gate_dim = matrices[0].shape[0]
-    stack = np.stack([np.asarray(m, dtype=complex) for m in matrices])
-    rho5 = rho.reshape(size_a, gate_dim, size_c * size_a, gate_dim, size_c)
-    out = np.einsum(
-        "mab,xbycz,mdc->xaydz",
-        stack,
-        rho5,
-        stack.conj(),
-        optimize=True,
-    )
-    return out.reshape(rho.shape)
+    (m1, s1), (m2, s2) = first.local, second.local
+    w1, w2 = first.wires, second.wires
+    wires = w1 if set(w2) <= set(w1) else w2 if set(w1) <= set(w2) else None
+    if wires is None or math.prod(dims[w] for w in wires) > _MERGE_MAX_DIM:
+        return None
+    matrix = _embed(m2, w2, wires, dims) @ _embed(m1, w1, wires, dims)
+    if DENSE in (s1.kind, s2.kind):
+        structure = GateStructure(kind=DENSE, matrix=matrix)
+    else:
+        structure = classify_gate(matrix)
+    # no kernel yet: most merges are merged again before the plan is done
+    return _Op(None, (), first.events + second.events, wires, (matrix, structure))
 
 
-def _diagonal_channel(
-    rho: np.ndarray,
+def _kraus_op(
+    kraus: Sequence[np.ndarray],
     dims: tuple[int, ...],
-    diags: np.ndarray,
     targets: tuple[int, ...],
-) -> np.ndarray:
-    """All-diagonal Kraus family as *one* elementwise multiply.
-
-    For ``K_i = diag(d_i)`` the channel acts elementwise on rho:
-    ``rho'[a, b] = rho[a, b] * sum_i d_i[a] conj(d_i[b])`` over the
-    joint target levels — the whole Kraus loop (two contractions per
-    operator) collapses into a single broadcast product.
-    """
-    n = len(dims)
-    weight = diags.T @ diags.conj()  # (d_gate, d_gate): ket x bra
-    axes = list(targets) + [t + n for t in targets]
-    factor = broadcast_over_targets(weight.reshape(-1), dims * 2, axes)
-    tensor = rho.reshape(dims + dims) * factor
-    return tensor.reshape(rho.shape)
+    events: tuple,
+) -> _Op:
+    """Operator-by-operator op for targets too wide for a superoperator."""
+    legs = tuple(d for d in dims for _ in (0, 1))
+    ket = tuple(2 * t for t in targets)
+    bra = tuple(2 * t + 1 for t in targets)
+    args = (legs, ket, bra, _terms(kraus))
+    return _Op(_sandwich, args, events, tuple(sorted(targets)))
 
 
-def _channel(
-    rho: np.ndarray, dims: tuple[int, ...], instruction: Instruction
-) -> np.ndarray:
-    """A channel instruction by the cheapest exact route.
+def _ascending(targets: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions of ``targets`` in ascending wire order."""
+    return tuple(sorted(range(len(targets)), key=targets.__getitem__))
 
-    A depolarising channel applies in closed form (:func:`_depolarize`)
-    without looking at its Kraus family.  Channels whose Kraus operators
-    are *all* diagonal (dephasing, Kerr-type noise, the phase branches of
-    Weyl channels) vectorise to one elementwise multiply; non-diagonal
-    families on a contiguous target run batch into a single stacked
-    contraction (:func:`_kraus_batched`); anything else runs the
-    per-operator loop, so diagonal/permutation operators still hit the
-    ``O(D^2)`` fast kernels.
-    """
-    targets = tuple(instruction.qudits)
-    p = instruction.depolarizing_p
+
+def _unitary_liouville(
+    structure: GateStructure, targets: tuple[int, ...], dims: tuple[int, ...]
+) -> GateStructure:
+    """``U ⊗ Ū`` on ascending doubled target axes, cached on ``U``'s structure."""
+    order = _ascending(targets)
+    gate_dims = tuple(dims[t] for t in targets)
+    key = ("liouville", gate_dims, order)
+    cached = structure.plans.get(key)
+    if cached is None:
+        cached = structure.plans[key] = classify_gate(
+            _liouville([structure.matrix], gate_dims, order)
+        )
+    return cached
+
+
+def _unitary_op(
+    structure: GateStructure,
+    targets: tuple[int, ...],
+    dims: tuple[int, ...],
+    noise: tuple[float, int] | None = None,
+) -> _Op:
+    """A unitary's op, fused with the depolarising channel ``noise = (p,
+    Kraus count)`` after it when given."""
+    events: tuple = (("gate", structure.kind, {"kraus": 1}),)
+    if structure.dim > _SUPEROP_MAX_DIM:
+        return _kraus_op([structure.matrix], dims, targets, events)
+    liouville = _unitary_liouville(structure, targets, dims)
+    wires = tuple(sorted(targets))
+    if noise is None:
+        return _superop_op(liouville.matrix, liouville, dims, wires, events)
+    p, n_kraus = noise
+    lam = _depolarizing_lambda(p, structure.dim)
+    events += (("channel", "depolarizing", {"kraus": n_kraus}),)
+    twirl = _twirl(tuple(dims[w] for w in wires))
+    matrix = (1.0 - lam) * liouville.matrix + lam * twirl
+    dense = GateStructure(kind=DENSE, matrix=matrix)
+    return _superop_op(matrix, dense, dims, wires, events)
+
+
+def _depolarizing_lambda(p: float, d_s: int) -> float:
+    """``λ = p d_S² / (d_S² − 1)`` of a depolarising channel."""
+    return p * d_s * d_s / (d_s * d_s - 1)
+
+
+def _noise_after(
+    ins: Instruction, follower: PlanStep | None
+) -> tuple[float, int] | None:
+    """``(p, Kraus count)`` of a depolarising channel right after a unitary
+    on the same wires, if the next plan step is one."""
+    channel = None if follower is None else follower.instruction
+    if channel is None or channel.kind != "channel" or channel.kraus is None:
+        return None
+    p = channel.depolarizing_p
+    if p is None or set(channel.qudits) != set(ins.qudits):
+        return None
+    return p, len(channel.kraus)
+
+
+def _fusable(
+    structure: GateStructure, targets: tuple[int, ...], dims: tuple[int, ...]
+) -> bool:
+    """Whether a unitary fuses with the depolarising channel after it."""
+    if structure.dim > _SUPEROP_MAX_DIM:
+        return False
+    dense = _unitary_liouville(structure, targets, dims).kind == DENSE
+    return dense or structure.dim <= _MERGE_MAX_DIM
+
+
+def _channel_op(ins: Instruction, dims: tuple[int, ...]) -> _Op:
+    """A channel's op: closed form for depolarising, else its superoperator."""
+    targets = ins.qudits
+    d_s = math.prod(dims[t] for t in targets)
+    p = ins.depolarizing_p
+    kraus = ins.kraus or ()
+    fields = {"kraus": len(kraus)}
     if p is not None:
-        return _depolarize(rho, dims, p, targets)
-    kraus = instruction.kraus or ()
-    structures = instruction.kraus_structures() or ()
-    if all(s.kind == DIAGONAL for s in structures):
-        diags = np.stack([s.diag for s in structures])
-        return _diagonal_channel(rho, dims, diags, targets)
-    if len(kraus) > 1:
-        batched = _kraus_batched(rho, dims, kraus, targets)
-        if batched is not None:
-            return batched
-    return _apply_local(rho, dims, kraus, structures, targets)
+        events = (("channel", "depolarizing", fields),)
+        wires = tuple(sorted(targets))
+        shape, diagonal = _diagonal_indices(dims, wires)
+        lam = _depolarizing_lambda(p, d_s)
+        return _Op(_depolarize, (lam, shape, diagonal), events, wires)
+    events = (("channel", _kind(ins.kraus_structures() or ()), fields),)
+    return _family_op(kraus, dims, targets, events)
 
 
-def _run_step(rho: np.ndarray, dims: tuple[int, ...], step: PlanStep) -> np.ndarray:
-    """Run one compiled plan step on a raw density matrix."""
-    if step.diagonal is not None:
-        f = step.diagonal.reshape(-1)
-        fused = np.outer(f, f.conj())
-        return _observed(
-            "density", "gate", (DIAGONAL,), np.multiply, rho, fused, kraus=1
-        )
-    ins = step.instruction
-    assert ins is not None  # every step but a fused diagonal runs one
-    return _run_instruction(rho, dims, ins)
+def _family_op(
+    kraus: Sequence[np.ndarray],
+    dims: tuple[int, ...],
+    targets: tuple[int, ...],
+    events: tuple,
+) -> _Op:
+    """A Kraus family as its superoperator, or operator by operator if wide."""
+    gate_dims = tuple(dims[t] for t in targets)
+    if math.prod(gate_dims) > _SUPEROP_MAX_DIM:
+        return _kraus_op(kraus, dims, targets, events)
+    matrix = _liouville(kraus, gate_dims, _ascending(targets))
+    wires = tuple(sorted(targets))
+    return _superop_op(matrix, classify_gate(matrix), dims, wires, events)
 
 
-def _run_instruction(
-    rho: np.ndarray, dims: tuple[int, ...], ins: Instruction
-) -> np.ndarray:
-    """Run one unitary, channel or reset instruction on a raw density matrix."""
-    if ins.matrix is not None:
-        return _apply_local(rho, dims, [ins.matrix], [ins.structure()], ins.qudits)
-    if ins.kraus is not None:
-        kinds: Iterable[str] = ("depolarizing",)
-        if ins.depolarizing_p is None:
-            kinds = (s.kind for s in ins.kraus_structures() or ())
-        return _observed(
-            "density", "channel", kinds, _channel, rho, dims, ins, kraus=len(ins.kraus)
-        )
-    # reset: trace the wire out and re-prepare it in |0>, Kraus family |0><k|
-    wire = ins.qudits[0]
-    kraus = np.zeros((dims[wire],) * 3, dtype=complex)
-    kraus[:, 0, :] = np.eye(dims[wire])
-    structures = [intern_structure(op) for op in kraus]
-    return _apply_local(rho, dims, list(kraus), structures, (wire,))
+def _reset_op(wire: int, dims: tuple[int, ...]) -> _Op:
+    """Trace the wire out and re-prepare it in ``|0⟩``: Kraus ops ``|0⟩⟨k|``."""
+    d = dims[wire]
+    kraus = np.zeros((d, d, d), dtype=complex)
+    kraus[:, 0, :] = np.eye(d)
+    events = (("gate", _kind(intern_structure(op) for op in kraus), {"kraus": d}),)
+    return _family_op(list(kraus), dims, (wire,), events)
+
+
+def _diagonal_op(diagonal: np.ndarray, dims: tuple[int, ...]) -> _Op:
+    """A fused diagonal step ``f``: one multiply by ``f ⊗ f̄``."""
+    flat = diagonal.reshape(-1)
+    factor = _interleave(np.outer(flat, flat.conj()), dims)
+    events = (("gate", DIAGONAL, {"kraus": 1}),)
+    return _Op(np.multiply, (factor,), events, tuple(range(len(dims))))
+
+
+def _step_ops(plan: Sequence[PlanStep], dims: tuple[int, ...]) -> list[tuple[int, _Op]]:
+    """The plan's ops in order, each with the index of its first step.
+
+    A unitary fuses with the depolarising channel after it, and ops that
+    :func:`_merged` accepts become one.  A Trotter step repeats each
+    gate-and-noise pair many times, so equal steps share one op.
+    """
+    ops: list[tuple[int, _Op]] = []
+    # Equal structures and Kraus tuples are one object across the plan.
+    shared: dict = {}
+    skip = False
+    for i, step in enumerate(plan):
+        if skip:  # a channel fused into its unitary
+            skip = False
+            continue
+        ins = step.instruction
+        if ins is None:  # a fused diagonal step
+            assert step.diagonal is not None
+            op = _diagonal_op(step.diagonal, dims)
+        elif step.kind == "reset":
+            op = _reset_op(ins.qudits[0], dims)
+        elif step.kind == "channel":
+            key = ("channel", id(ins.kraus), ins.qudits, ins.depolarizing_p)
+            if key not in shared:
+                shared[key] = _channel_op(ins, dims)
+            op = shared[key]
+        else:
+            structure = ins.structure()
+            assert structure is not None  # every unitary has one
+            follower = plan[i + 1] if i + 1 < len(plan) else None
+            noise = _noise_after(ins, follower)
+            key = ("unitary", id(structure), ins.qudits, noise)
+            if key not in shared:
+                fuse = noise is not None and _fusable(structure, ins.qudits, dims)
+                op = _unitary_op(structure, ins.qudits, dims, noise if fuse else None)
+                shared[key] = (op, fuse)
+            op, skip = shared[key]
+        # Move back past ops on other wires (they commute) and merge into
+        # the first op that shares a wire, while _merged accepts the pair.
+        place = len(ops)
+        stop = max(0, place - _MERGE_WINDOW)
+        for j in range(place - 1, stop - 1, -1):
+            first, earlier = ops[j]
+            if set(earlier.wires).isdisjoint(op.wires):
+                continue
+            key = ("merged", earlier, op)  # keeps both alive while shared
+            if key not in shared:
+                shared[key] = _merged(earlier, op, dims)
+            if shared[key] is None:
+                break
+            ops[j] = (first, shared[key])
+            op = shared[key]
+            if place < len(ops):
+                del ops[place]
+            place = j
+        if place == len(ops):
+            ops.append((i, op))
+    return ops
+
+
+def _compiled(plan: Sequence[PlanStep], dims: tuple[int, ...]) -> list[_Op]:
+    """The ops that run ``plan`` on the doubled register, compiled once.
+
+    Each op lands in the ``cache["density"]`` of the first plan step it
+    runs; a step folded into an earlier op has no entry.
+    """
+    if plan and "density" not in plan[0].cache:
+        kernels: dict = {}
+        for first, op in _step_ops(plan, dims):
+            if op.kernel is None:  # a merged op, possibly at several places
+                if op not in kernels:
+                    matrix, structure = op.local
+                    kernels[op] = _superop_op(
+                        matrix, structure, dims, op.wires, op.events
+                    )
+                op = kernels[op]
+            plan[first].cache["density"] = op
+    return [step.cache["density"] for step in plan if "density" in step.cache]
+
+
+def _run(op: _Op, state: np.ndarray) -> np.ndarray:
+    """Run one op; with telemetry on, count and span each instruction it runs."""
+    if not (_metrics.enabled or _tracing.enabled):
+        return op(state)
+    with ExitStack() as spans:
+        for event, kind, fields in op.events:
+            _metrics.inc(f"{event}_applies", backend="density", kind=kind)
+            spans.enter_context(
+                _tracing.span(f"{event}_apply", backend="density", kind=kind, **fields)
+            )
+        return op(state)
 
 
 class DensityMatrix:
@@ -321,8 +656,12 @@ class DensityMatrix:
         if not ops:
             raise DimensionError("channel needs at least one Kraus operator")
         wires = validate_wires(self.dims, targets, ops)
-        structures = [intern_structure(op) for op in ops]
-        mat = _apply_local(self._matrix, self.dims, ops, structures, wires)
+        n = len(self.dims)
+        terms = _terms(ops)
+        kinds = (term[1].kind for term in terms)
+        bras = tuple(w + n for w in wires)
+        args = (self._matrix, self.dims * 2, wires, bras, terms)
+        mat = _observed("density", "gate", kinds, _sandwich, *args, kraus=len(ops))
         return DensityMatrix(mat, self.dims)
 
     def apply_channel(
@@ -330,9 +669,8 @@ class DensityMatrix:
     ) -> "DensityMatrix":
         """Apply a :class:`QuditChannel` on local targets.
 
-        Takes the route :meth:`evolve` takes for the same channel: closed
-        form for a depolarising family, one multiply for an all-diagonal
-        one, one batched contraction on a contiguous target run.
+        Compiles the op :meth:`evolve` runs for the same channel: closed
+        form for a depolarising family, the superoperator otherwise.
         """
         wires = validate_wires(self.dims, targets, channel.kraus)
         ins = Instruction(
@@ -342,24 +680,26 @@ class DensityMatrix:
             kraus=channel.kraus,
             depolarizing_p=channel.depolarizing_p,
         )
-        return DensityMatrix(_run_instruction(self._matrix, self.dims, ins), self.dims)
+        state = _run(_channel_op(ins, self.dims), _interleave(self._matrix, self.dims))
+        return DensityMatrix(_deinterleave(state, self.dims), self.dims)
 
     def evolve(self, circuit: QuditCircuit) -> "DensityMatrix":
         """Run a circuit's compiled plan: unitaries, channels and resets.
 
         The plan (:meth:`~repro.core.circuit.QuditCircuit.plan`) fuses
         same-wire single-qudit runs and diagonal runs and drops
-        ``measure`` markers.  Its steps pass the raw ``rho`` along, and
-        it is wrapped in a :class:`DensityMatrix` once at the end.
+        ``measure`` markers; its steps compile once to ops on the doubled
+        register (see the module docstring), which ``rho`` enters and
+        leaves by one transpose each.
         """
         if circuit.dims != self.dims:
             raise DimensionError(
                 f"circuit dims {circuit.dims} != state dims {self.dims}"
             )
-        rho = self._matrix
-        for step in circuit.plan():
-            rho = _run_step(rho, self.dims, step)
-        return DensityMatrix(rho, self.dims)
+        state = _interleave(self._matrix, self.dims)
+        for op in _compiled(circuit.plan(), self.dims):
+            state = _run(op, state)
+        return DensityMatrix(_deinterleave(state, self.dims), self.dims)
 
     # ------------------------------------------------------------------
     # observables

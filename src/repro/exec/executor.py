@@ -45,9 +45,12 @@ supervised pool drive it, so serial and pooled campaigns take the same
 decisions.  Attempt numbers count executions (escalated re-runs and
 crash re-dispatches included).
 
-Abandoning a handle early (breaking out of a stream) is safe: points
-already dispatched finish in the background and their results are
-discarded; points never consumed are simply not cached or checkpointed.
+A caller that stops reading early (an early-stopped stream, a decided
+bisection bracket) calls :meth:`~CampaignHandle.cancel`: no further
+point of the campaign is dispatched, the results of points already in
+flight are discarded as they land (never cached or checkpointed), and
+the pool forgets the campaign once none of it is in flight.  A handle
+that is merely dropped keeps its remaining points queued and computing.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Generator, Iterable, Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection
@@ -845,6 +848,8 @@ class _Run:
         self.abandoned = True
         self.ready.clear()
         self.waiting.clear()
+        if self.pool is not None:
+            self.pool.release(self)
 
 
 class _SupervisedPool:
@@ -897,6 +902,11 @@ class _SupervisedPool:
                 return None
             self._pump()
 
+    def release(self, run: _Run) -> None:
+        """Forget an abandoned run once none of its points is in flight."""
+        if run.abandoned and not run.inflight:
+            self._forget(run)
+
     @property
     def idle(self) -> bool:
         """Whether no worker holds an in-flight point."""
@@ -909,12 +919,17 @@ class _SupervisedPool:
     def shutdown(self, timeout: float = 5.0) -> bool:
         """Tear the pool down; graceful when nothing is in flight.
 
-        With every worker idle and no run holding undelivered work, each
-        worker receives the stop sentinel and is joined within
-        ``timeout`` — a clean exit that never aborts anything.  Any
-        other state (an abandoned stream's points still running) falls
-        back to terminate.  Returns whether the drain was graceful.
+        Points of cancelled campaigns still in flight get up to
+        ``timeout`` to land (their results are discarded).  Then, with
+        every worker idle and no run holding undelivered work, each
+        worker receives the stop sentinel and is joined within what is
+        left of ``timeout`` — a clean exit that never aborts anything.
+        Any other state (a stream dropped unread, a point outliving the
+        timeout) falls back to terminate.  Returns whether the drain was
+        graceful.
         """
+        deadline = time.monotonic() + max(0.0, timeout)
+        self._drain_cancelled(deadline)
         graceful = self.idle and not any(run.outstanding for run in self._runs)
         if graceful:
             for worker in self._workers:
@@ -922,7 +937,6 @@ class _SupervisedPool:
                     worker.conn.send(None)
                 except (OSError, ValueError):
                     pass
-            deadline = time.monotonic() + max(0.0, timeout)
             for worker in self._workers:
                 worker.process.join(max(0.0, deadline - time.monotonic()))
                 if worker.process.is_alive():
@@ -1030,6 +1044,19 @@ class _SupervisedPool:
         if backoff is not None:
             horizons.append(now + backoff)
         timeout = max(0.0, min(horizons) - now) if horizons else None
+        self._collect(busy, timeout)
+        now = time.monotonic()
+        for worker in self._workers:
+            if (
+                worker.item is not None
+                and worker.deadline is not None
+                and now >= worker.deadline
+            ):
+                self._on_timeout(worker)
+        self._dispatch()
+
+    def _collect(self, busy: list[_Worker], timeout: float | None) -> None:
+        """Wait up to ``timeout`` on busy workers; handle what arrives."""
         by_object: dict[Any, _Worker] = {}
         wait_on: list[Any] = []
         for worker in busy:
@@ -1053,15 +1080,19 @@ class _SupervisedPool:
                 self._on_message(worker, message)
             elif not worker.process.is_alive():
                 self._on_crash(worker)
-        now = time.monotonic()
-        for worker in self._workers:
-            if (
-                worker.item is not None
-                and worker.deadline is not None
-                and now >= worker.deadline
-            ):
-                self._on_timeout(worker)
-        self._dispatch()
+
+    def _drain_cancelled(self, deadline: float) -> None:
+        """Let in-flight points of cancelled runs land, until ``deadline``.
+
+        Only while nothing else is in flight or queued, so no result
+        that anyone waits for is ever consumed here.
+        """
+        while not any(run.outstanding for run in self._runs if not run.abandoned):
+            busy = [worker for worker in self._workers if worker.item is not None]
+            remaining = deadline - time.monotonic()
+            if not busy or remaining <= 0:
+                return
+            self._collect(busy, remaining)
 
     # -- outcome handling ----------------------------------------------
     def _release(self, worker: _Worker) -> tuple[_Run, _Dispatch, int]:
@@ -1070,6 +1101,7 @@ class _SupervisedPool:
         worker.item = None
         worker.deadline = None
         run.inflight -= 1
+        self.release(run)
         return run, dispatch, uid
 
     def _on_message(self, worker: _Worker, message: tuple[Any, ...]) -> None:
@@ -1218,6 +1250,7 @@ class CampaignHandle:
         self._callbacks: list[Callable[[CampaignPoint, Any], None]] = []
         self._run = run
         self._failed: BaseException | None = None
+        self._cancelled = False
         self._fingerprint = fingerprint
         self._ledger = ledger
         self._ledger_written = False
@@ -1267,7 +1300,7 @@ class CampaignHandle:
     # -- event production ------------------------------------------------
     def _event_stream(
         self, hits: list[PointResult], pending: list[CampaignPoint]
-    ) -> Iterator[PointResult]:
+    ) -> Generator[PointResult, None, None]:
         """Yield :class:`PointResult` events in completion order.
 
         Hits are yielded first (they were resolved at submit time, before
@@ -1352,6 +1385,11 @@ class CampaignHandle:
         return put_s
 
     def _advance(self) -> PointResult:
+        if self._cancelled and len(self._seen) < len(self._points):
+            raise SimulationError(
+                f"campaign {self.name!r} was cancelled with "
+                f"{len(self._seen)}/{len(self._points)} points resolved"
+            )
         if self._failed is not None:
             # The underlying generator died with the task's exception; a
             # spent generator would otherwise just StopIterate, making
@@ -1566,6 +1604,25 @@ class CampaignHandle:
                     ) from None
             yield self._values[point.index]
 
+    def cancel(self) -> None:
+        """Stop computing the points this campaign has not resolved yet.
+
+        No further point is dispatched; results of points already in
+        flight are discarded as they land, never cached or checkpointed,
+        and the pool forgets the campaign once none of it is in flight,
+        so :meth:`CampaignExecutor.close` drains gracefully again.  A
+        serial campaign simply computes nothing more.  Afterwards
+        :meth:`result` and :meth:`stream_results` raise
+        :class:`SimulationError` for unresolved points instead of
+        waiting, while :meth:`partial_result` returns what had resolved.
+        Calling it again, or on a finished campaign, does nothing.
+        """
+        if self._cancelled:
+            return
+        self._cancelled = True
+        self._run.abandon()
+        self._events.close()
+
     def result(self) -> CampaignResult:
         """Block until every point is done; the full ordered result."""
         for _ in self.as_completed():
@@ -1763,12 +1820,14 @@ class CampaignExecutor:
     def close(self, timeout: float = 5.0) -> bool:
         """Tear down the pool.  Safe to call twice; submits then fail.
 
-        When no submission holds undelivered in-flight work, the workers
-        drain gracefully: each receives the stop sentinel and is joined
-        within ``timeout`` seconds.  Otherwise — an abandoned stream's
-        points still running — the pool is terminated (those results go
-        nowhere anyway).  Either way every worker process is gone when
-        this returns.
+        Points of cancelled campaigns still in flight get up to
+        ``timeout`` seconds to land, their results discarded.  When no
+        submission then holds undelivered work, the workers drain
+        gracefully: each receives the stop sentinel and is joined within
+        the rest of ``timeout``.  Otherwise — a stream dropped without
+        :meth:`CampaignHandle.cancel`, or a point outliving the timeout —
+        the pool is terminated (those results go nowhere anyway).
+        Either way every worker process is gone when this returns.
 
         Returns:
             Whether the shutdown was graceful (trivially ``True`` when

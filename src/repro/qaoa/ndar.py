@@ -372,7 +372,11 @@ def ndar_restart_battery(
             if target_cost is not None and record["best_cost"] <= target_cost:
                 stopped_early = True
                 break
-        result = handle.partial_result() if stopped_early else handle.result()
+        if stopped_early:
+            handle.cancel()  # the unread restarts stop occupying the pool
+            result = handle.partial_result()
+        else:
+            result = handle.result()
     best = min(records, key=lambda record: record["best_cost"])
     return {
         "best_cost": best["best_cost"],

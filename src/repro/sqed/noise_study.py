@@ -16,6 +16,7 @@ tolerance, and report the qudit/qubit threshold ratio.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,8 +267,15 @@ def compare_encodings(
 # ----------------------------------------------------------------------
 # campaign layer (repro.exec)
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=8)
 def _build_encoding(encoding: str, n_sites: int, spin: int, hopping: float,
                     g2: float, mu: float, zz: float, periodic: bool):
+    """The encoding of one rotor-chain spec, memoised per process.
+
+    A worker's campaign points then share one encoding, its Trotter
+    step circuits and their compiled plans.  Callers only run and copy
+    what it returns, never mutate it.
+    """
     chain = RotorChain(
         n_sites=n_sites, spin=spin, g2=g2, hopping=hopping, mu=mu, zz=zz,
         periodic=periodic,
@@ -444,12 +452,15 @@ def noise_threshold_campaign(
     probe is evaluated *as a campaign point* on one persistent
     :class:`~repro.exec.CampaignExecutor`: the decade ladder that
     brackets the threshold fans out over the warm pool and is consumed
-    **as a stream** — the bracket resolves (and the first bisection
-    midpoint is issued) as soon as the first sub-tolerance rung arrives,
-    without waiting for the deeper rungs — and every bisection midpoint
-    reuses the same pool, so the serial midpoint walk never pays fork
-    cost.  All probes route through the shared result cache: re-running
-    the bisection, or running it after a broad :func:`damage_campaign`
+    **as a stream** — the bracket resolves as soon as the first
+    sub-tolerance rung arrives, and the ladder is then cancelled
+    (:meth:`~repro.exec.CampaignHandle.cancel`), so the deeper rungs
+    neither wait nor hold the pool: beyond what the serial search
+    computes, the pool computes only the rungs already running or done
+    when the bracket is decided — and every bisection midpoint reuses
+    the same pool, so the serial midpoint walk never pays fork cost.
+    All probes route through the shared result cache: re-running the
+    bisection, or running it after a broad :func:`damage_campaign`
     over the same parameters, skips every previously-scored probe.  With
     the default exact scoring (``method="auto"`` selecting density/LPDO)
     the returned threshold is identical to the serial
@@ -506,8 +517,9 @@ def noise_threshold_campaign(
         if probe_one(eps_hi) < damage_tol:
             return eps_hi
         # Decade ladder: one parallel campaign, streamed in rung order.
-        # The bracket is decided at the first sub-tolerance rung; deeper
-        # rungs keep computing in the pool but are not waited for.
+        # The bracket is decided at the first sub-tolerance rung; the
+        # ladder is then cancelled, so its deeper rungs stop taking pool
+        # slots from the bisection midpoints.
         ladder = []
         lo = eps_hi
         for _ in range(10):
@@ -521,6 +533,7 @@ def noise_threshold_campaign(
             if damage < damage_tol:
                 lo = eps
                 break
+        handle.cancel()
         if lo is None:
             return 1e-8
         hi = lo * 10.0

@@ -26,6 +26,7 @@ from repro.exec import (
     run_campaign,
     zip_sweep,
 )
+from repro.exec.cache import MISS
 
 
 def stochastic_task(x, scale=1.0, seed=0):
@@ -47,6 +48,18 @@ def failing_task(x, seed=0):
 def slow_task(x, delay_ms=10.0, seed=0):
     time.sleep(delay_ms / 1000.0)
     return int(x)
+
+
+def logged_task(x, log="", delay_ms=40.0, seed=0):
+    """Append ``x`` to ``log`` when an execution starts, then sleep."""
+    with open(log, "a") as fh:
+        fh.write(f"{int(x)}\n")
+    time.sleep(delay_ms / 1000.0)
+    return int(x)
+
+
+def _executions(log):
+    return [int(line) for line in log.read_text().split()]
 
 
 def cpu_task(x, n_terms=300_000, seed=0):
@@ -207,6 +220,134 @@ class TestPartialResult:
             handle = executor.submit(_campaign(n=6))
             full = handle.result()
             assert handle.partial_result().values == full.values
+
+
+class TestCancel:
+    """cancel() stops a campaign's unread points from occupying the pool."""
+
+    def _logged(self, tmp_path, n=10, delay_ms=40.0):
+        log = tmp_path / "executions.log"
+        log.touch()
+        campaign = _campaign(
+            n=n, task=logged_task, base_params={"log": str(log), "delay_ms": delay_ms}
+        )
+        return campaign, log
+
+    def test_pool_dispatches_nothing_after_cancel(self, tmp_path):
+        campaign, log = self._logged(tmp_path)
+        with CampaignExecutor(2) as executor:
+            handle = executor.submit(campaign)
+            assert next(handle.stream_results()) == 0
+            in_flight = handle._run.inflight
+            handle.cancel()
+            started = set(handle.attempts)  # dispatched before the cancel
+            # Another campaign pumps the pool until the in-flight points land.
+            executor.run(_campaign(n=4, task=slow_task))
+            assert set(_executions(log)) == started
+            assert set(handle.attempts) == started
+            assert 0 < in_flight <= executor.workers
+            assert executor.close() is True
+
+    def test_cancelled_in_flight_result_is_not_cached(self, tmp_path):
+        campaign, _ = self._logged(tmp_path, delay_ms=80.0)
+        cache = ResultCache(tmp_path / "cache")
+        with CampaignExecutor(2, cache=cache) as executor:
+            handle = executor.submit(campaign)
+            next(handle.stream_results())
+            handle.cancel()
+            resolved = {p.index for p in handle.partial_result().points}
+            in_flight = set(handle.attempts) - resolved
+            assert in_flight  # the second worker's point was running
+            executor.run(_campaign(n=4, task=slow_task))
+            for point in handle.points:
+                cached = cache.get(point.key) is not MISS
+                assert cached == (point.index in resolved), point.index
+
+    def test_close_is_graceful_once_in_flight_points_land(self, tmp_path):
+        campaign, log = self._logged(tmp_path, delay_ms=80.0)
+        executor = CampaignExecutor(2)
+        handle = executor.submit(campaign)
+        next(handle.stream_results())
+        handle.cancel()
+        started = set(handle.attempts)
+        processes = executor._pool.worker_processes()
+        # No other run pumps the pool: close() waits for the cancelled
+        # points still in flight, then stops the workers with the sentinel.
+        assert executor.close() is True
+        assert all(p.exitcode == 0 for p in processes)
+        assert set(_executions(log)) == started
+
+    def test_serial_cancel_computes_nothing_more(self, tmp_path):
+        campaign, log = self._logged(tmp_path, delay_ms=1.0)
+        with CampaignExecutor() as executor:
+            handle = executor.submit(campaign)
+            stream = handle.stream_results()
+            assert [next(stream), next(stream)] == [0, 1]
+            handle.cancel()
+            assert _executions(log) == [0, 1]
+            with pytest.raises(SimulationError, match="cancelled"):
+                next(stream)
+            with pytest.raises(SimulationError, match="cancelled"):
+                handle.result()
+            assert handle.partial_result().values == [0, 1]
+            assert _executions(log) == [0, 1]
+
+    def test_cancel_after_completion_changes_nothing(self):
+        with CampaignExecutor(2) as executor:
+            handle = executor.submit(_campaign(n=4))
+            values = handle.result().values
+            handle.cancel()
+            handle.cancel()
+            assert handle.result().values == values
+
+    def test_threshold_ladder_computes_nothing_after_its_bracket(self, monkeypatch):
+        """Pooled bisection equals serial, and once the bracket is decided
+        the ladder dispatches no further rung."""
+        from repro import obs
+        from repro.exec.executor import CampaignHandle
+        from repro.sqed import QuditEncoding, RotorChain
+        from repro.sqed.noise_study import noise_threshold, noise_threshold_campaign
+
+        kwargs = dict(damage_tol=0.1, bisection_steps=3, t_total=1.0, n_steps=2)
+        chain = RotorChain(2, spin=1, g2=1.0, hopping=0.3)
+        serial = noise_threshold(QuditEncoding(chain), method="auto", **kwargs)
+        at_cancel = []
+        cancel = CampaignHandle.cancel
+
+        def spying_cancel(handle):
+            run = handle._run
+            at_cancel.append(
+                (handle, set(handle.attempts), run.inflight, len(run.events))
+            )
+            cancel(handle)
+
+        monkeypatch.setattr(CampaignHandle, "cancel", spying_cancel)
+        delivered = []
+        obs.disable()
+        obs.reset()
+        obs.metrics.enable()
+        try:
+            with CampaignExecutor(2) as executor:
+                threshold = noise_threshold_campaign(
+                    executor=executor,
+                    on_result=lambda point, value: delivered.append(value),
+                    n_sites=2,
+                    spin=1,
+                    encoding="qudit",
+                    method="auto",
+                    **kwargs,
+                )
+            attempts = obs.metrics.REGISTRY.get("exec_attempts").value()
+        finally:
+            obs.disable()
+            obs.reset()
+        assert threshold == serial
+        ((ladder, started, in_flight, unread),) = at_cancel
+        assert set(ladder.attempts) == started  # no rung dispatched after it
+        assert in_flight <= executor.workers
+        # Every execution was delivered, or was a rung already running or
+        # finished-but-unread when the bracket was decided.
+        assert attempts == len(delivered) + in_flight + unread
 
 
 class TestNdarEarlyStopDeterminism:

@@ -43,10 +43,18 @@ def test_core_engine_bench_smoke(tmp_path):
         gate_repeats=3,
         n_traj_nodes=4,
         n_trajectories=8,
+        ec1_step_repeats=2,
+        ec1_bench=False,
         out_path=out,
     )
     # Fast paths must agree with the dense reference on the benchmark state.
     assert report["correctness"]["max_fastpath_vs_dense_error"] < 1e-12
+    # The density engine's compiled noisy qubit step equals the
+    # operator-by-operator loop, and fuses gates with their noise.
+    step = report["ec1_density"]["noisy_qubit_step"]
+    assert step["max_error_vs_apply_kraus"] < 1e-12
+    assert step["compiled_ops"] <= 0.55 * step["plan_steps"]
+    assert step["change_ms"] > 0
     trajectories = report["trajectories"]["ndar_style"]
     assert trajectories["n_trajectories"] == 8
     assert trajectories["batched_s"] > 0 and trajectories["seed_loop_s"] > 0
@@ -420,3 +428,10 @@ def test_committed_bench_core_json_meets_targets():
     assert gate["permutation_geomean_speedup"] >= 3.0
     assert report["trajectories"]["ndar_style"]["speedup"] >= 5.0
     assert report["correctness"]["max_fastpath_vs_dense_error"] < 1e-12
+    step = report["ec1_density"]["noisy_qubit_step"]
+    assert step["max_error_vs_apply_kraus"] < 1e-12
+    assert step["compiled_ops"] <= 0.55 * step["plan_steps"]
+    assert step["change_ms"] < step["parent_ms"]
+    ec1 = report["ec1_density"]["ec1_bench_size"]
+    assert ec1["thresholds"] == ec1["parent_thresholds"]
+    assert ec1["parent_s"] >= 3.0 * ec1["change_s"]

@@ -19,6 +19,12 @@ simulator below:
    Given ``--parent-src DIR`` (the ``src`` directory of another checkout,
    e.g. extracted by ``git archive <rev> | tar -x -C <dir>``), the same timings
    run against that tree too, each side in a fresh interpreter.
+4. **Reservoir split step** (``reservoir``): one ``SplitStepEvolver``
+   step of the two-mode reservoir at ``levels`` 4 and 9, photon loss
+   applied as two Liouville-superoperator GEMMs, against the Kraus-sum
+   reference it replaced (one ``K rho K†`` sandwich per kron'd Kraus
+   operator of each mode), with the two paths' maximum deviation over a
+   driven run.
 
 Run as a script to (re)generate the committed ``BENCH_core.json`` at the
 repo root::
@@ -50,6 +56,7 @@ from repro.core.structure import classify_gate
 from repro.core import gates
 from repro.qaoa import random_coloring_instance
 from repro.qaoa.circuits import add_photon_loss, qaoa_circuit
+from repro.reservoir import CoupledOscillators, SplitStepEvolver
 from repro.sqed import RotorChain, compare_encodings
 from repro.sqed.encodings import QubitEncoding, insert_depolarizing_noise
 
@@ -315,6 +322,54 @@ def _bench_ec1_density(
     return record
 
 
+def _kraus_sum_step(evolver: SplitStepEvolver):
+    """The Kraus-sum split step: each mode's loss as ``sum_l K_l rho K_l†``
+    over its Kraus operators kron'd up to the joint space."""
+    eye = np.eye(evolver.osc.levels, dtype=complex)
+    families = [
+        [np.kron(k, eye) if mode == 0 else np.kron(eye, k) for k in kraus]
+        for mode, kraus in sorted(evolver.loss_families.items())
+    ]
+
+    def step(rho: np.ndarray, drive: float) -> np.ndarray:
+        u = evolver.unitary_for(drive)
+        rho = u @ rho @ u.conj().T
+        for ops in families:
+            rho = sum(op @ rho @ op.conj().T for op in ops)
+        return rho / float(np.real(np.trace(rho)))
+
+    return step
+
+
+def _bench_reservoir(n_steps: int, repeats: int) -> dict:
+    """Per-step time of the superoperator split step against the Kraus sum
+    at 16 and 81 neurons, on a state driven through ``n_steps`` NARMA-like
+    inputs."""
+    record = {}
+    drives = 1.0 + np.random.default_rng(0).uniform(0.0, 0.5, size=n_steps)
+    for level in (4, 9):
+        osc = CoupledOscillators(levels=level)
+        evolver = SplitStepEvolver(osc, dt=1.0)
+        reference = _kraus_sum_step(evolver)
+        rho = ref = osc.vacuum()
+        deviation = 0.0
+        for drive in drives:
+            rho = evolver.step(rho, drive)
+            ref = reference(ref, drive)
+            deviation = max(deviation, float(np.abs(rho - ref).max()))
+        kraus_s = _time_loop(lambda: reference(rho, drives[0]), repeats)
+        super_s = _time_loop(lambda: evolver.step(rho, drives[0]), repeats)
+        record[f"levels_{level}"] = {
+            "levels": level,
+            "neurons": osc.dim,
+            "kraus_sum_us": round(kraus_s * 1e6, 2),
+            "superoperator_us": round(super_s * 1e6, 2),
+            "speedup": round(kraus_s / super_s, 2),
+            "max_deviation": deviation,
+        }
+    return record
+
+
 def run_benchmarks(
     n_qutrits: int = 7,
     gate_repeats: int = 300,
@@ -322,6 +377,8 @@ def run_benchmarks(
     n_trajectories: int = 200,
     ec1_step_repeats: int = 20,
     ec1_bench: bool = True,
+    reservoir_steps: int = 40,
+    reservoir_repeats: int = 50,
     parent_src: Path | str | None = None,
     out_path: Path | str | None = None,
 ) -> dict:
@@ -335,6 +392,9 @@ def run_benchmarks(
         ec1_step_repeats: timed runs of the noisy qubit step (best kept).
         ec1_bench: also time E-C1 at ``bench_encoding_noise`` size
             (tens of seconds; each side then runs in a fresh interpreter).
+        reservoir_steps: driven steps over which the two split-step
+            paths' deviation is tracked.
+        reservoir_repeats: timed steps per path and size.
         parent_src: ``src`` directory of another checkout to time the
             ``ec1_density`` section against (``None``: this tree only).
         out_path: where to write the JSON report (``None`` = don't write).
@@ -355,6 +415,7 @@ def run_benchmarks(
         "gate_apply": gate_apply,
         "trajectories": {"ndar_style": trajectories},
         "ec1_density": _bench_ec1_density(ec1_step_repeats, ec1_bench, parent_src),
+        "reservoir": _bench_reservoir(reservoir_steps, reservoir_repeats),
         "correctness": {"max_fastpath_vs_dense_error": max_error},
     }
     if out_path is not None:

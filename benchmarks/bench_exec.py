@@ -47,16 +47,17 @@ Nine sections, emitted to the committed ``BENCH_exec.json``:
    time of the best hand-tuned configuration that also meets it.
 9. **obs_overhead** — the observability tax: a CPU-bound gate-apply
    workload (the hottest instrumented call sites, :mod:`repro.obs`)
-   timed with telemetry disabled, enabled, and disabled again,
-   min-of-k.  The disabled-after/disabled-before ratio is required to
-   be <= 1.05 — the instrumentation must be near-free when off (one
-   module-attribute check per call site) and must leave no residue
-   behind after an enabled run.  The enabled ratio is on record too,
-   together with proof the enabled run actually collected telemetry,
-   and a ``serve_scrape`` sub-record: while telemetry is live, an
-   :class:`repro.obs.serve.ObsServer` is scraped over HTTP and the
-   min scrape latency, response status, and exposed family count are
-   recorded (the scrape must return 200 with a non-empty, typed body).
+   timed with telemetry disabled, enabled, and disabled again, each
+   run paired with an uninstrumented reference run timed beside it
+   (median of the paired ratios).  The disabled-after/disabled-before
+   ratio is required to be <= 1.05 — the instrumentation must be
+   near-free when off (one module-attribute check per call site) and
+   must leave no residue behind after an enabled run.  The enabled
+   ratio is on record too, together with proof the enabled run
+   actually collected telemetry, and a ``serve_scrape`` sub-record:
+   while telemetry is live, an :class:`repro.obs.serve.ObsServer` is
+   scraped over HTTP and the min scrape latency, response status, and
+   exposed family count are recorded (the scrape must return 200 with a non-empty, typed body).
 
 Run as a script to (re)generate the committed record::
 
@@ -78,6 +79,7 @@ import numpy as np
 
 from repro.core import QuditCircuit, get_backend
 from repro.core.channels import photon_loss
+from repro.core.statevector import apply_step
 from repro.exec import (
     Campaign,
     CampaignExecutor,
@@ -372,13 +374,20 @@ def bench_obs_overhead(
 
     Runs a CPU-bound statevector circuit (every gate apply crosses an
     instrumented call site) three ways — telemetry disabled, enabled,
-    and disabled again — taking the min over ``repeats`` to suppress
-    scheduler noise.  ``disabled_ratio`` (after/before, both disabled)
-    is the committed <= 1.05 guard: with collection off the entire cost
-    per call site is one module-attribute check, and an enabled run
-    must leave no lingering slowdown behind.  The enabled ratio is
-    informational (it pays real dict/span work), and the recorded
-    sample counts prove the enabled run actually collected telemetry.
+    and disabled again — ``repeats x gate_loops`` times per phase.  Each
+    run is paired with a reference run timed right before it: the same
+    plan steps applied by the uninstrumented kernels
+    (:func:`repro.core.statevector.apply_step`).  A phase's cost is the
+    median of its run/reference ratios, so a drift in host speed between
+    phases (frequency scaling, a noisy neighbour) moves both halves of a
+    pair and cancels, and a stray scheduler stall hits one pair only.
+    ``disabled_ratio`` (after/before, both disabled) is the committed
+    <= 1.05 guard: with collection off the entire cost per call site is
+    one module-attribute check, and an enabled run must leave no
+    lingering slowdown behind.  The enabled ratio is informational (it
+    pays real dict/span work), and the recorded sample counts prove the
+    enabled run actually collected telemetry.  The ``*_s`` fields are
+    each phase's fastest ``gate_loops`` runs, for scale.
 
     While the registry is hot, an :class:`repro.obs.serve.ObsServer`
     is started on an ephemeral port and ``/metrics`` is scraped once
@@ -392,19 +401,37 @@ def bench_obs_overhead(
 
     circuit = _clean_circuit(n_qudits)
     backend = get_backend("statevector")
+    dims = circuit.dims
+    steps = circuit.plan()
 
-    def once() -> float:
-        start = time.perf_counter()
-        for _ in range(gate_loops):
-            backend.run(circuit)
-        return time.perf_counter() - start
+    def reference() -> None:
+        tensor = np.zeros(dims, dtype=complex)
+        tensor.flat[0] = 1.0
+        for step in steps:
+            tensor = apply_step(tensor, step, dims)
+
+    def phase() -> tuple[float, float]:
+        """Fastest repeat and median run/reference ratio of one phase."""
+        repeat_s, ratios = [], []
+        for _ in range(repeats):
+            total = 0.0
+            for _ in range(gate_loops):
+                start = time.perf_counter()
+                reference()
+                middle = time.perf_counter()
+                backend.run(circuit)
+                run_s = time.perf_counter() - middle
+                ratios.append(run_s / (middle - start))
+                total += run_s
+            repeat_s.append(total)
+        return min(repeat_s), float(np.median(ratios))
 
     obs.disable()
     obs.reset()
-    disabled_before_s = min(once() for _ in range(repeats))
+    disabled_before_s, before = phase()
 
     obs.enable()
-    enabled_s = min(once() for _ in range(repeats))
+    enabled_s, enabled = phase()
     snap = obs.metrics.snapshot()
     gate_applies = sum(
         snap.get("gate_applies", {}).get("values", {}).values()
@@ -438,7 +465,7 @@ def bench_obs_overhead(
 
     obs.disable()
     obs.reset()
-    disabled_after_s = min(once() for _ in range(repeats))
+    disabled_after_s, after = phase()
 
     assert gate_applies > 0 and n_spans > 0  # the enabled run collected
     return {
@@ -448,8 +475,8 @@ def bench_obs_overhead(
         "disabled_before_s": round(disabled_before_s, 4),
         "enabled_s": round(enabled_s, 4),
         "disabled_after_s": round(disabled_after_s, 4),
-        "disabled_ratio": round(disabled_after_s / disabled_before_s, 4),
-        "enabled_ratio": round(enabled_s / disabled_before_s, 4),
+        "disabled_ratio": round(after / before, 4),
+        "enabled_ratio": round(enabled / before, 4),
         "gate_applies_observed": int(gate_applies),
         "spans_recorded": n_spans,
         "serve_scrape": serve_scrape,
@@ -607,6 +634,7 @@ def run_benchmarks(
     obs_gate_loops: int = 40,
     obs_repeats: int = 5,
     autopilot_points: int = 16,
+    autopilot_steps: int = 2,
     autopilot_target: float = 1e-6,
     workers: int = 8,
     calibration_scale: int = 2,
@@ -618,7 +646,8 @@ def run_benchmarks(
     Args:
         sqed_points: epsilon count of the acceptance campaign (64 for the
             committed record).
-        sqed_sites, sqed_steps: damage-task size knobs.
+        sqed_sites, sqed_steps: damage-task size knobs (``sqed_sites``
+            also sizes the autopilot section).
         latency_points, latency_delay_ms: latency-bound section size.
         battery_campaigns, battery_points, battery_delay_ms,
         battery_workers: pool-reuse battery shape (many short campaigns).
@@ -626,9 +655,11 @@ def run_benchmarks(
         overhead_points, overhead_delay_ms: supervised-overhead section
             size (same latency-bound shape, two dispatch architectures).
         obs_qudits, obs_gate_loops, obs_repeats: observability-overhead
-            section size (CPU-bound gate-apply workload, min-of-k).
-        autopilot_points, autopilot_target: autopilot-vs-hand-tuned
-            section size (same damage task as the acceptance campaign).
+            section size (CPU-bound gate-apply workload, paired with
+            an uninstrumented reference).
+        autopilot_points, autopilot_steps, autopilot_target:
+            autopilot-vs-hand-tuned section size (same damage task as
+            the acceptance campaign).
         workers: pool width for the parallel sections.
         calibration_scale: probe-size multiplier for the calibration.
         cache_dir: where the replay cache lives (a temp dir if omitted).
@@ -651,7 +682,7 @@ def run_benchmarks(
     )
     obs_overhead = bench_obs_overhead(obs_qudits, obs_gate_loops, obs_repeats)
     autopilot = bench_autopilot(
-        autopilot_points, sqed_sites, sqed_steps, autopilot_target
+        autopilot_points, sqed_sites, autopilot_steps, autopilot_target
     )
     if cache_dir is None:
         with tempfile.TemporaryDirectory() as tmp:

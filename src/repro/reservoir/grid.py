@@ -46,20 +46,22 @@ def reservoir_nmse_task(
     dt: float = 1.0,
     feature_set: str = "populations",
     method: str = "splitstep",
-    alpha: float = 1e-4,
+    alphas=(1e-4,),
     washout: int = 20,
     train_fraction: float = 0.7,
     shots: int = 0,
     target_error: float | None = None,
     seed: int = 0,
-) -> dict:
-    """Campaign task: train/test NMSE of one reservoir configuration.
+) -> list[dict]:
+    """Campaign task: train/test NMSE of one reservoir at every ridge α.
 
     Builds the two-mode reservoir from plain parameters inside the worker,
-    runs the input sequence, optionally corrupts the features with a
+    runs the input sequence once, optionally corrupts the features with a
     ``shots``-shot multinomial readout (``shots=0`` = exact features),
-    fits the ridge readout on the chronological training split, and
-    scores the held-out test span.
+    then fits one ridge readout per α on the chronological training split
+    and scores the held-out test span.  α only enters the readout, so
+    every α shares one reservoir run and, with ``shots > 0``, one
+    shot-noise draw.
 
     Args:
         task: ``"narma2"`` / ``"narma10"`` / ``"mackey_glass"`` /
@@ -68,7 +70,8 @@ def reservoir_nmse_task(
         levels, coupling, kappa, dt: oscillator parameters (symmetric
             ``kappa`` on both modes).
         input_gain, drive_bias, feature_set, method: reservoir knobs.
-        alpha, washout, train_fraction: readout training spec.
+        alphas: ridge regularisation strengths to score.
+        washout, train_fraction: readout training spec.
         shots: projective shots per time step (0 = exact populations).
         target_error: accuracy contract forwarded to the ``"auto"``
             backend when ``method="auto"`` (ignored by the direct
@@ -76,7 +79,8 @@ def reservoir_nmse_task(
         seed: the campaign's spawned per-point seed (drives shot noise).
 
     Returns:
-        ``{"nmse", "train_nmse", "n_features"}``.
+        One ``{"alpha", "nmse", "train_nmse", "n_features"}`` record per
+        α, in the order of ``alphas``.
     """
     series = _build_task(task, int(length), int(task_seed))
     osc = CoupledOscillators(
@@ -105,12 +109,16 @@ def reservoir_nmse_task(
     f_tr, y_tr, f_te, y_te = train_test_split(
         features, series.targets, train_fraction, washout
     )
-    readout = RidgeReadout(alpha=float(alpha)).fit(f_tr, y_tr)
-    return {
-        "nmse": float(readout.score_nmse(f_te, y_te)),
-        "train_nmse": float(readout.score_nmse(f_tr, y_tr)),
-        "n_features": int(reservoir.n_features),
-    }
+    records = []
+    for alpha in alphas:
+        readout = RidgeReadout(alpha=float(alpha)).fit(f_tr, y_tr)
+        records.append({
+            "alpha": float(alpha),
+            "nmse": float(readout.score_nmse(f_te, y_te)),
+            "train_nmse": float(readout.score_nmse(f_tr, y_tr)),
+            "n_features": int(reservoir.n_features),
+        })
+    return records
 
 
 def reservoir_grid_campaign(
@@ -133,6 +141,12 @@ def reservoir_grid_campaign(
 ) -> dict:
     """Grid-search reservoir hyperparameters as one streamed campaign.
 
+    The campaign sweeps the reservoir axes ``(input_gain, drive_bias,
+    shots)`` only: each point simulates its reservoir once and scores
+    every ridge α on the same features (:func:`reservoir_nmse_task`), so
+    a ``G x B x A x S`` grid costs ``G x B x S`` reservoir runs and
+    reports ``G x B x A x S`` rows.
+
     Args:
         input_gains, drive_biases, alphas, shot_budgets: grid axes
             (Cartesian product).
@@ -154,17 +168,25 @@ def reservoir_grid_campaign(
             co-located with the effective result cache.
         on_result: optional ``callback(point, value)`` invoked as each
             grid point completes (pool completion order) — a progress
-            hook for long grids; the returned ``best`` is selected from
-            the final deterministic ordering either way.
+            hook for long grids; ``value`` is that point's list of
+            per-α records.  The returned ``best`` is selected from the
+            final deterministic ordering either way.
         **task_params: fixed :func:`reservoir_nmse_task` parameters.
 
     Returns:
-        ``{"best": {...best point's params + nmse...}, "campaign":
-        CampaignResult}`` — ``campaign.as_table()`` is the full grid.
+        ``{"best": {...}, "rows": [...], "campaign": CampaignResult}``.
+        ``rows`` holds one record per ``(input_gain, drive_bias, alpha,
+        shots)`` combination: the point's parameters with ``alpha`` in
+        place of ``alphas``, plus ``nmse``, ``train_nmse`` and
+        ``n_features``.  They come in point order, one per α within a
+        point; failed points contribute none.  ``best`` is the row with
+        the lowest ``nmse`` (the first one on a tie).
     """
     from ..exec import Campaign, executor_scope, grid_sweep
 
-    task_params = dict(task_params, method=method)
+    task_params = dict(
+        task_params, method=method, alphas=[float(v) for v in alphas]
+    )
     if target_error is not None:
         task_params["target_error"] = target_error
     campaign = Campaign(
@@ -172,7 +194,6 @@ def reservoir_grid_campaign(
         sweep=grid_sweep(
             input_gain=[float(v) for v in input_gains],
             drive_bias=[float(v) for v in drive_biases],
-            alpha=[float(v) for v in alphas],
             shots=[int(v) for v in shot_budgets],
         ),
         name="reservoir-grid",
@@ -186,11 +207,9 @@ def reservoir_grid_campaign(
     with scope as (ex, kwargs):
         handle = ex.submit(campaign, checkpoint=checkpoint, **kwargs)
         result = handle.on_result(on_result).result()
-    best_index = int(
-        np.argmin([record["nmse"] for record in result.values])
-    )
-    best_point = result.points[best_index]
-    return {
-        "best": {**best_point.params, **result.values[best_index]},
-        "campaign": result,
-    }
+    rows = []
+    for point, records in zip(result.points, result.values):
+        params = {k: v for k, v in point.params.items() if k != "alphas"}
+        rows.extend({**params, **record} for record in records or ())
+    best_index = int(np.argmin([row["nmse"] for row in rows]))
+    return {"best": rows[best_index], "rows": rows, "campaign": result}

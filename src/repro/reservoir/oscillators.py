@@ -12,9 +12,10 @@ Two evolution backends:
 
 * exact vectorised Lindblad (``LindbladPropagator``) — O(D^4) memory in the
   joint dimension, fine for validation at small truncation;
-* split-step (unitary half-step + exact per-mode photon-loss channel) —
-  O(D^2), used for the full 9x9 reservoir.  The splitting error is
-  O((kappa dt) * (g dt)) per step, negligible at reservoir time scales.
+* split-step (unitary half-step + exact per-mode photon-loss channel,
+  both modes' loss as two superoperator GEMMs) — O(D^2), used for the
+  full 9x9 reservoir.  The splitting error is O((kappa dt) * (g dt)) per
+  step, negligible at reservoir time scales.
 """
 
 from __future__ import annotations
@@ -127,6 +128,16 @@ class SplitStepEvolver:
     with ``U(u) = exp(-i dt (H + u * D))`` and ``Loss_i`` the exact
     amplitude-damping channel with ``gamma_i = 1 - exp(-kappa_i dt)``.
 
+    Both loss channels are applied as two GEMMs on ``levels² x levels²``
+    matrices.  Each mode's channel is precomputed as its Liouville
+    superoperator ``S_i = sum_l K_l ⊗ conj(K_l)`` over the ``photon_loss``
+    Kraus family (the identity for a lossless mode).  Regrouping ``rho``
+    from rows ``(m1 m2)`` and columns ``(n1 n2)`` into
+    ``R[(m1 n1), (m2 n2)]`` puts mode 1's ket/bra pair on the rows and
+    mode 2's on the columns, so the two channels act as
+    ``R -> S_1 R S_2^T``.  The two channels commute, so the order of the
+    product is immaterial.
+
     Args:
         oscillators: reservoir parameters.
         dt: step duration.
@@ -158,13 +169,15 @@ class SplitStepEvolver:
             gamma = 1.0 - np.exp(-kappa * dt)
             if gamma > 0:
                 self.loss_families[mode] = photon_loss(d, gamma).kraus
-        eye = np.eye(d, dtype=complex)
-        self._loss_1 = [
-            np.kron(k, eye) for k in self.loss_families[0]
-        ] if 0 in self.loss_families else None
-        self._loss_2 = [
-            np.kron(eye, k) for k in self.loss_families[1]
-        ] if 1 in self.loss_families else None
+        self._super_1 = self._superoperator(0)
+        self._super_2_t = self._superoperator(1).T.copy()
+
+    def _superoperator(self, mode: int) -> np.ndarray:
+        """``sum_l K_l ⊗ conj(K_l)`` of one mode's loss (identity if lossless)."""
+        family = self.loss_families.get(mode)
+        if family is None:
+            return np.eye(self.osc.levels**2, dtype=complex)
+        return sum(np.kron(k, k.conj()) for k in family)
 
     def _unitary(self, drive: float) -> np.ndarray:
         key = round(float(drive), self.drive_quantisation)
@@ -185,21 +198,16 @@ class SplitStepEvolver:
         """The cached one-step joint unitary ``exp(-i dt (H + drive D))``."""
         return self._unitary(drive)
 
-    @staticmethod
-    def _apply_kraus(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-        out = np.zeros_like(rho)
-        for op in kraus:
-            out += op @ rho @ op.conj().T
-        return out
+    def _regroup(self, matrix: np.ndarray) -> np.ndarray:
+        """Swap the mode-2 ket and mode-1 bra indices (an involution)."""
+        d = self.osc.levels
+        return matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
     def step(self, rho: np.ndarray, drive: float = 0.0) -> np.ndarray:
         """Advance one step under the given drive value."""
         u = self._unitary(drive)
         rho = u @ rho @ u.conj().T
-        if self._loss_1 is not None:
-            rho = self._apply_kraus(rho, self._loss_1)
-        if self._loss_2 is not None:
-            rho = self._apply_kraus(rho, self._loss_2)
+        rho = self._regroup(self._super_1 @ self._regroup(rho) @ self._super_2_t)
         trace = float(np.real(np.trace(rho)))
         if trace <= 0:
             raise SimulationError("trace collapsed in split-step evolution")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import DensityMatrix
 from repro.core.exceptions import DimensionError, SimulationError
 from repro.core.gates import is_hermitian
 from repro.core.lindblad import LindbladPropagator
@@ -93,6 +94,29 @@ class TestSplitStepEvolver:
         err_fine = np.abs(split(32) - exact).max()
         assert err_fine < err_coarse / 4
         assert err_fine < 0.01
+
+    @pytest.mark.parametrize("levels", [3, 4, 9])
+    @pytest.mark.parametrize("kappas", [(0.2, 0.35), (0.0, 0.3), (0.25, 0.0)])
+    def test_superoperator_step_matches_apply_kraus(self, levels, kappas):
+        """Both loss channels as two GEMMs equal the Kraus sum per mode."""
+        osc = CoupledOscillators(
+            levels=levels, omega_2=1.5, coupling=0.8,
+            kappa_1=kappas[0], kappa_2=kappas[1],
+        )
+        evolver = SplitStepEvolver(osc, dt=0.7)
+        assert sorted(evolver.loss_families) == [
+            mode for mode, kappa in enumerate(kappas) if kappa > 0
+        ]
+        rng = np.random.default_rng(levels)
+        rho = evolver.step(osc.vacuum(), 1.3)
+        for drive in rng.uniform(0.5, 1.5, size=3):
+            u = evolver.unitary_for(drive)
+            reference = DensityMatrix(u @ rho @ u.conj().T, osc.dims)
+            for mode, kraus in evolver.loss_families.items():
+                reference = reference.apply_kraus(kraus, mode)
+            expected = reference.matrix / np.trace(reference.matrix).real
+            rho = evolver.step(rho, drive)
+            assert np.abs(rho - expected).max() <= 1e-13
 
     def test_unitary_cache(self, small_osc):
         evolver = SplitStepEvolver(small_osc, dt=0.5, cache_size=2)

@@ -33,6 +33,15 @@ def _publish_artifact(path: Path) -> None:
         shutil.copy2(path, Path(target) / path.name)
 
 
+def _check_reservoir_record(record: dict) -> None:
+    """Photon loss as two superoperator GEMMs equals the Kraus sum and
+    takes at most half its step time, at 16 and 81 neurons."""
+    assert sorted(record) == ["levels_4", "levels_9"]
+    for size in record.values():
+        assert size["max_deviation"] <= 1e-13
+        assert size["superoperator_us"] <= 0.5 * size["kraus_sum_us"]
+
+
 @pytest.mark.bench_smoke
 def test_core_engine_bench_smoke(tmp_path):
     from bench_core_engine import run_benchmarks
@@ -45,6 +54,8 @@ def test_core_engine_bench_smoke(tmp_path):
         n_trajectories=8,
         ec1_step_repeats=2,
         ec1_bench=False,
+        reservoir_steps=10,
+        reservoir_repeats=10,
         out_path=out,
     )
     # Fast paths must agree with the dense reference on the benchmark state.
@@ -55,6 +66,7 @@ def test_core_engine_bench_smoke(tmp_path):
     assert step["max_error_vs_apply_kraus"] < 1e-12
     assert step["compiled_ops"] <= 0.55 * step["plan_steps"]
     assert step["change_ms"] > 0
+    _check_reservoir_record(report["reservoir"])
     trajectories = report["trajectories"]["ndar_style"]
     assert trajectories["n_trajectories"] == 8
     assert trajectories["batched_s"] > 0 and trajectories["seed_loop_s"] > 0
@@ -184,7 +196,10 @@ def test_exec_bench_smoke(tmp_path):
     report = run_benchmarks(
         sqed_points=8,
         sqed_sites=2,
-        sqed_steps=1,
+        # Enough Trotter steps that a point's simulation, not the campaign
+        # bookkeeping (~0.3 ms per point, paid by replay and compute
+        # alike), sets the replay-speedup ratio guarded below.
+        sqed_steps=32,
         latency_points=16,
         latency_delay_ms=25.0,
         battery_campaigns=8,
@@ -201,6 +216,7 @@ def test_exec_bench_smoke(tmp_path):
         obs_gate_loops=20,
         obs_repeats=3,
         autopilot_points=6,
+        autopilot_steps=1,
         autopilot_target=1e-6,
         workers=8,
         calibration_scale=1,
@@ -435,3 +451,4 @@ def test_committed_bench_core_json_meets_targets():
     ec1 = report["ec1_density"]["ec1_bench_size"]
     assert ec1["thresholds"] == ec1["parent_thresholds"]
     assert ec1["parent_s"] >= 3.0 * ec1["change_s"]
+    _check_reservoir_record(report["reservoir"])

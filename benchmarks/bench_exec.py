@@ -57,7 +57,8 @@ Nine sections, emitted to the committed ``BENCH_exec.json``:
    actually collected telemetry, and a ``serve_scrape`` sub-record:
    while telemetry is live, an :class:`repro.obs.serve.ObsServer` is
    scraped over HTTP and the min scrape latency, response status, and
-   exposed family count are recorded (the scrape must return 200 with a non-empty, typed body).
+   exposed family count are recorded (the scrape must return 200 with
+   a non-empty, typed body).
 
 Run as a script to (re)generate the committed record::
 
@@ -634,7 +635,6 @@ def run_benchmarks(
     obs_gate_loops: int = 40,
     obs_repeats: int = 5,
     autopilot_points: int = 16,
-    autopilot_steps: int = 2,
     autopilot_target: float = 1e-6,
     workers: int = 8,
     calibration_scale: int = 2,
@@ -646,8 +646,7 @@ def run_benchmarks(
     Args:
         sqed_points: epsilon count of the acceptance campaign (64 for the
             committed record).
-        sqed_sites, sqed_steps: damage-task size knobs (``sqed_sites``
-            also sizes the autopilot section).
+        sqed_sites, sqed_steps: damage-task size knobs.
         latency_points, latency_delay_ms: latency-bound section size.
         battery_campaigns, battery_points, battery_delay_ms,
         battery_workers: pool-reuse battery shape (many short campaigns).
@@ -657,9 +656,8 @@ def run_benchmarks(
         obs_qudits, obs_gate_loops, obs_repeats: observability-overhead
             section size (CPU-bound gate-apply workload, paired with
             an uninstrumented reference).
-        autopilot_points, autopilot_steps, autopilot_target:
-            autopilot-vs-hand-tuned section size (same damage task as
-            the acceptance campaign).
+        autopilot_points, autopilot_target: autopilot-vs-hand-tuned
+            section size (same damage task as the acceptance campaign).
         workers: pool width for the parallel sections.
         calibration_scale: probe-size multiplier for the calibration.
         cache_dir: where the replay cache lives (a temp dir if omitted).
@@ -682,7 +680,7 @@ def run_benchmarks(
     )
     obs_overhead = bench_obs_overhead(obs_qudits, obs_gate_loops, obs_repeats)
     autopilot = bench_autopilot(
-        autopilot_points, sqed_sites, autopilot_steps, autopilot_target
+        autopilot_points, sqed_sites, sqed_steps, autopilot_target
     )
     if cache_dir is None:
         with tempfile.TemporaryDirectory() as tmp:

@@ -30,13 +30,14 @@ campaign loop never needs to manage the cache's size explicitly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import os
 import tempfile
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -52,32 +53,68 @@ __all__ = ["stable_hash", "point_key", "ResultCache", "MISS"]
 MISS = object()
 
 
-def _feed(hasher: "hashlib._Hash", obj: object) -> None:
-    """Feed one object's canonical encoding into a hash object.
+def _str_bytes(obj: str) -> bytes:
+    raw = obj.encode()
+    return b"s%d:%s" % (len(raw), raw)
+
+
+def _float_bytes(obj: float) -> bytes:
+    # float.hex() is exact and locale/platform independent.
+    return f"f{obj.hex()};".encode()
+
+
+#: Encodings of the exact builtin scalar types, tried before the general
+#: ``isinstance`` chain (which also covers their subclasses and numpy's
+#: scalars) because nearly every parameter value is one of them.
+_SCALARS: dict[type, Callable[[Any], bytes]] = {
+    type(None): lambda obj: b"N;",
+    str: _str_bytes,
+    bool: lambda obj: b"b1;" if obj else b"b0;",
+    int: lambda obj: b"i%d;" % obj,
+    float: _float_bytes,
+}
+
+
+def _feed(write: Callable[[bytes], Any], obj: object) -> None:
+    """Write one object's canonical encoding through ``write``.
 
     Every value is prefixed with a type tag so values of different types
     can never collide (``1`` vs ``1.0`` vs ``"1"``), and containers are
     length-prefixed so concatenations can't alias.
     """
-    if obj is None:
-        hasher.update(b"N;")
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        write(scalar(obj))
+    elif isinstance(obj, Canonical):
+        write(obj.raw)
+    elif isinstance(obj, Mapping):
+        # Canonical order: items sorted by the digest of their key, so any
+        # insertion order (and any hashable key type) yields one encoding.
+        items = sorted(obj.items(), key=_item_order)
+        write(f"d{len(items)}:".encode())
+        for key, value in items:
+            _feed(write, key)
+            _feed(write, value)
+    elif isinstance(obj, (list, tuple)) or (
+        isinstance(obj, Sequence) and not isinstance(obj, (str, bytes))
+    ):
+        write(f"l{len(obj)}:".encode())
+        for item in obj:
+            _feed(write, item)
+    elif isinstance(obj, str):
+        write(_str_bytes(obj))
     elif isinstance(obj, (bool, np.bool_)):
-        hasher.update(b"b1;" if obj else b"b0;")
+        write(b"b1;" if obj else b"b0;")
     elif isinstance(obj, (int, np.integer)):
-        hasher.update(f"i{int(obj)};".encode())
+        write(b"i%d;" % int(obj))
     elif isinstance(obj, (float, np.floating)):
-        # float.hex() is exact and locale/platform independent.
-        hasher.update(f"f{float(obj).hex()};".encode())
+        write(_float_bytes(float(obj)))
     elif isinstance(obj, (complex, np.complexfloating)):
         obj = complex(obj)
-        hasher.update(f"c{obj.real.hex()},{obj.imag.hex()};".encode())
-    elif isinstance(obj, str):
-        raw = obj.encode()
-        hasher.update(f"s{len(raw)}:".encode())
-        hasher.update(raw)
+        write(f"c{obj.real.hex()},{obj.imag.hex()};".encode())
     elif isinstance(obj, bytes):
-        hasher.update(f"y{len(obj)}:".encode())
-        hasher.update(obj)
+        write(f"y{len(obj)}:".encode())
+        write(obj)
     elif isinstance(obj, np.ndarray):
         if obj.dtype == object:
             # tobytes() on an object array serialises raw pointers —
@@ -88,25 +125,11 @@ def _feed(hasher: "hashlib._Hash", obj: object) -> None:
                 "list (or a homogeneous numeric array) instead"
             )
         arr = np.ascontiguousarray(obj)
-        hasher.update(f"a{arr.dtype.str}{arr.shape};".encode())
-        hasher.update(arr.tobytes())
-    elif isinstance(obj, Mapping):
-        # Canonical order: items sorted by the digest of their key, so any
-        # insertion order (and any hashable key type) yields one encoding.
-        items = sorted(obj.items(), key=lambda item: stable_hash(item[0]))
-        hasher.update(f"d{len(items)}:".encode())
-        for key, value in items:
-            _feed(hasher, key)
-            _feed(hasher, value)
-    elif isinstance(obj, (list, tuple)) or (
-        isinstance(obj, Sequence) and not isinstance(obj, (str, bytes))
-    ):
-        hasher.update(f"l{len(obj)}:".encode())
-        for item in obj:
-            _feed(hasher, item)
+        write(f"a{arr.dtype.str}{arr.shape};".encode())
+        write(arr.tobytes())
     elif hasattr(obj, "fingerprint") and callable(obj.fingerprint):
-        hasher.update(f"F{type(obj).__name__}:".encode())
-        _feed(hasher, obj.fingerprint())
+        write(f"F{type(obj).__name__}:".encode())
+        _feed(write, obj.fingerprint())
     else:
         raise SimulationError(
             f"cannot stably hash {type(obj).__name__!r} — campaign "
@@ -115,15 +138,48 @@ def _feed(hasher: "hashlib._Hash", obj: object) -> None:
         )
 
 
+@functools.lru_cache(maxsize=4096)
+def _str_digest(key: str) -> str:
+    # Parameter names repeat across every point of every campaign, so
+    # their sort digests are memoised; the digest is a pure function of
+    # the string.  Only exact ``str`` keys come here: ``1``, ``1.0`` and
+    # ``True`` compare equal and would share one memo entry.
+    return stable_hash(key)
+
+
+def _item_order(item: tuple[Any, Any]) -> str:
+    key = item[0]
+    return _str_digest(key) if type(key) is str else stable_hash(key)
+
+
+class Canonical:
+    """A value's canonical encoding, computed once.
+
+    Hashing a :class:`Canonical` (alone or nested in a container) gives
+    the same digest as hashing the value itself, so a point's parameters
+    can be encoded once and then hashed into both its seed and its key.
+    """
+
+    __slots__ = ("raw",)
+
+    def __init__(self, obj: object) -> None:
+        parts: list[bytes] = []
+        _feed(parts.append, obj)
+        self.raw = b"".join(parts)
+
+
 def stable_hash(obj: object) -> str:
     """Process-independent SHA-256 hex digest of a parameter-like value."""
     hasher = hashlib.sha256()
-    _feed(hasher, obj)
+    _feed(hasher.update, obj)
     return hasher.hexdigest()
 
 
 def point_key(
-    task: str, version: str, params: Mapping[str, Any], seed: int | None
+    task: str,
+    version: str,
+    params: Mapping[str, Any] | Canonical,
+    seed: int | None,
 ) -> str:
     """Cache key of one campaign point.
 
@@ -132,8 +188,10 @@ def point_key(
     circuit content, backend caps, parameter values, or seed change, and
     *only* then.
     """
+    if not isinstance(params, Canonical):
+        params = dict(params)
     return stable_hash(
-        {"task": task, "version": version, "params": dict(params), "seed": seed}
+        {"task": task, "version": version, "params": params, "seed": seed}
     )
 
 

@@ -24,7 +24,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core.exceptions import SimulationError
-from .cache import point_key, stable_hash
+from .cache import Canonical, point_key, stable_hash
 
 __all__ = [
     "Sweep",
@@ -284,13 +284,16 @@ class Campaign:
         out: list[CampaignPoint] = []
         for index, values in enumerate(self.sweep):
             params = {**dict(self.base_params), **values}
+            # The params are encoded once and hashed into both the seed
+            # and the key.
+            encoded = Canonical(params)
             # A 'seed' pinned in the params wins over spawning (the runner
             # never injects in that case), and the spawned value must then
             # stay out of the cache key too — otherwise identical
             # computations under different root seeds would miss each
             # other's cached results.
             seed = (
-                _point_seed(self.seed, params)
+                _point_seed(self.seed, encoded)
                 if self.seed is not None and "seed" not in params
                 else None
             )
@@ -299,15 +302,15 @@ class Campaign:
                     index=index,
                     params=params,
                     seed=seed,
-                    key=point_key(ref, self.version, params, seed),
+                    key=point_key(ref, self.version, encoded, seed),
                 )
             )
         return out
 
 
-def _point_seed(root: int, params: Mapping[str, Any]) -> int:
+def _point_seed(root: int, params: Canonical) -> int:
     """Content-keyed seed spawn: depends only on (root, params)."""
-    entropy = int(stable_hash(dict(params))[:16], 16)
+    entropy = int(stable_hash(params)[:16], 16)
     child = np.random.SeedSequence([int(root) & (2**63 - 1), entropy])
     return int(child.generate_state(2, np.uint64)[0])
 

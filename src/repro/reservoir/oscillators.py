@@ -129,9 +129,10 @@ class SplitStepEvolver:
     amplitude-damping channel with ``gamma_i = 1 - exp(-kappa_i dt)``.
 
     Both loss channels are applied as two GEMMs on ``levels² x levels²``
-    matrices.  Each mode's channel is precomputed as its Liouville
+    matrices.  Each lossy mode's channel is precomputed as its Liouville
     superoperator ``S_i = sum_l K_l ⊗ conj(K_l)`` over the ``photon_loss``
-    Kraus family (the identity for a lossless mode).  Regrouping ``rho``
+    Kraus family; a lossless mode (``S_i`` the identity) skips its GEMM,
+    and a step with no loss skips the regrouping too.  Regrouping ``rho``
     from rows ``(m1 m2)`` and columns ``(n1 n2)`` into
     ``R[(m1 n1), (m2 n2)]`` puts mode 1's ket/bra pair on the rows and
     mode 2's on the columns, so the two channels act as
@@ -170,13 +171,14 @@ class SplitStepEvolver:
             if gamma > 0:
                 self.loss_families[mode] = photon_loss(d, gamma).kraus
         self._super_1 = self._superoperator(0)
-        self._super_2_t = self._superoperator(1).T.copy()
+        super_2 = self._superoperator(1)
+        self._super_2_t = None if super_2 is None else super_2.T.copy()
 
-    def _superoperator(self, mode: int) -> np.ndarray:
-        """``sum_l K_l ⊗ conj(K_l)`` of one mode's loss (identity if lossless)."""
+    def _superoperator(self, mode: int) -> np.ndarray | None:
+        """``sum_l K_l ⊗ conj(K_l)`` of one mode's loss (``None`` if lossless)."""
         family = self.loss_families.get(mode)
         if family is None:
-            return np.eye(self.osc.levels**2, dtype=complex)
+            return None
         return sum(np.kron(k, k.conj()) for k in family)
 
     def _unitary(self, drive: float) -> np.ndarray:
@@ -207,7 +209,13 @@ class SplitStepEvolver:
         """Advance one step under the given drive value."""
         u = self._unitary(drive)
         rho = u @ rho @ u.conj().T
-        rho = self._regroup(self._super_1 @ self._regroup(rho) @ self._super_2_t)
+        if self.loss_families:
+            regrouped = self._regroup(rho)
+            if self._super_1 is not None:
+                regrouped = self._super_1 @ regrouped
+            if self._super_2_t is not None:
+                regrouped = regrouped @ self._super_2_t
+            rho = self._regroup(regrouped)
         trace = float(np.real(np.trace(rho)))
         if trace <= 0:
             raise SimulationError("trace collapsed in split-step evolution")

@@ -39,25 +39,11 @@ class _RotorEncoding:
     operator looks on those wires (:meth:`_site_operator`) and how a site
     level is written in digits (:meth:`_level_digits`); every local
     ``(operator, wires)`` pair, its dense embedding and every product
-    state follow from those three.  It also says how one Trotter step is
-    compiled (:meth:`_compile_step`); the step circuit and its entangling
-    count are built once per ``dt`` and shared by every later call, so
-    callers run and copy the returned circuit but never mutate it.
+    state follow from those three.
     """
 
     def __init__(self, chain: RotorChain) -> None:
         self.chain = chain
-        self._step_cache: dict[float, tuple[QuditCircuit, int]] = {}
-
-    def _compile_step(self, dt: float) -> tuple[QuditCircuit, int]:
-        """One first-order Trotter step and its entangling count."""
-        raise NotImplementedError
-
-    def _build_step(self, dt: float) -> tuple[QuditCircuit, int]:
-        cached = self._step_cache.get(dt)
-        if cached is None:
-            cached = self._step_cache[dt] = self._compile_step(dt)
-        return cached
 
     def _site_wires(self, site: int) -> tuple[int, ...]:
         """Wire indices holding one rotor site."""
@@ -140,15 +126,12 @@ class QuditEncoding(_RotorEncoding):
         return self.chain.dims
 
     def trotter_step(self, dt: float) -> QuditCircuit:
-        """First-order Trotter step circuit (built once per ``dt``)."""
-        return self._build_step(dt)[0]
-
-    def _compile_step(self, dt: float) -> tuple[QuditCircuit, int]:
+        """First-order Trotter step circuit."""
         qc = QuditCircuit(self.dims, name="rotor-qudit-step")
         for term in self.chain.terms():
             gate = expm(-1j * dt * term.operator)
             qc.unitary(gate, term.sites, name=term.label, dt=dt)
-        return qc, self.entangling_per_step()
+        return qc
 
     def entangling_equivalents(self, instruction_name: str) -> int:
         """CSUM-equivalents charged to one instruction."""
@@ -184,6 +167,7 @@ class QubitEncoding(_RotorEncoding):
         super().__init__(chain)
         self.qubits_per_site = max(1, math.ceil(math.log2(chain.site_dim)))
         self.n_qubits = self.qubits_per_site * chain.n_sites
+        self._step_cache: dict[float, tuple[QuditCircuit, int]] = {}
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -235,7 +219,10 @@ class QubitEncoding(_RotorEncoding):
         """CNOT count of one Trotter step (independent of dt)."""
         return self._build_step(dt)[1]
 
-    def _compile_step(self, dt: float) -> tuple[QuditCircuit, int]:
+    def _build_step(self, dt: float) -> tuple[QuditCircuit, int]:
+        cached = self._step_cache.get(dt)
+        if cached is not None:
+            return cached
         qc = QuditCircuit(self.dims, name="rotor-qubit-step")
         n_cnots = 0
         for term in self.chain.terms():
@@ -244,6 +231,7 @@ class QubitEncoding(_RotorEncoding):
                 qubits.extend(self.site_qubits(site))
             for pauli in self.pauli_terms_for(term.operator, term.n_sites):
                 n_cnots += pauli_rotation_circuit(qc, pauli, dt, qubits)
+        self._step_cache[dt] = (qc, n_cnots)
         return qc, n_cnots
 
     def entangling_equivalents(self, instruction_name: str) -> int:

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from repro.core import QuditCircuit
 from repro.core.exceptions import SimulationError
-from repro.exec import ResultCache, point_key, stable_hash
-from repro.exec.cache import MISS
+from repro.exec import Campaign, ResultCache, point_key, stable_hash, zip_sweep
+from repro.exec.cache import MISS, Canonical
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -93,6 +93,42 @@ class TestStableHash:
             stable_hash(np.array([1, "x"], dtype=object))
         with pytest.raises(SimulationError):
             stable_hash({"p": np.array([[1, 2], [3, "x"]], dtype=object)})
+
+    @settings(max_examples=80, deadline=None)
+    @given(params=param_dicts, seed=st.integers(min_value=0, max_value=2**31))
+    def test_canonical_hashes_like_its_value(self, params, seed):
+        """A point's params, encoded once, give the same seed and key."""
+        encoded = Canonical(params)
+        assert stable_hash(encoded) == stable_hash(params)
+        assert point_key("m:f", "1", encoded, seed) == point_key(
+            "m:f", "1", params, seed
+        )
+
+    def test_digests_are_pinned(self):
+        """Keys and spawned seeds never move between versions, so results
+        cached by an earlier version keep resolving."""
+        payload = {
+            "b": [1, 2.5, "x", None, True, -3, 1e-300],
+            "a": {"nested": {"deep": (3, 4)}, 7: "int key"},
+            "np": [np.int32(5), np.float64(0.25), np.bool_(False), np.arange(3)],
+            "z": 1 - 2j,
+            "u": "ünï",
+        }
+        digest = "c91c7ace67e4ee924e3f1c7d1b3c4c65b22ef56979031800650f722c43375fb4"
+        key = "cf6a49b05ed97cd319757452d122408a1b16df1edbe723a2b063f9fb8988884a"
+        assert stable_hash(payload) == digest
+        assert point_key("mod:fn", "7", payload, 123) == key
+        points = Campaign(
+            task="repro.sqed.noise_study:damage_task",
+            sweep=zip_sweep(epsilon=[0.1, 0.2]),
+            base_params={"n": 2},
+            seed=0,
+        ).points()
+        assert [p.seed for p in points] == [7864148762623875034, 10481330342326378560]
+        assert [p.key for p in points] == [
+            "bbc62b7272fb4969b7a81dee71f38f53bf497ad7ffecae6434656a9fb3ea1f87",
+            "469850c0e31b3e8e96528e15c261c6134b14d9cc6d3f2ea577d29edf588b9cc1",
+        ]
 
     def test_invariant_across_process_boundary(self):
         """A fresh interpreter (fresh hash salt) produces the same key."""

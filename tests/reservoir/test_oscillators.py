@@ -96,7 +96,9 @@ class TestSplitStepEvolver:
         assert err_fine < 0.01
 
     @pytest.mark.parametrize("levels", [3, 4, 9])
-    @pytest.mark.parametrize("kappas", [(0.2, 0.35), (0.0, 0.3), (0.25, 0.0)])
+    @pytest.mark.parametrize(
+        "kappas", [(0.2, 0.35), (0.0, 0.3), (0.25, 0.0), (0.0, 0.0)]
+    )
     def test_superoperator_step_matches_apply_kraus(self, levels, kappas):
         """Both loss channels as two GEMMs equal the Kraus sum per mode."""
         osc = CoupledOscillators(

@@ -68,38 +68,6 @@ class TestQuditEncoding:
         assert np.abs(np.diag(link)).max() < 1e-12
         assert np.abs(link).max() > 0
 
-    def test_step_cache(self, chain):
-        encoding = QuditEncoding(chain)
-        first = encoding.trotter_step(0.1)
-        second = encoding.trotter_step(0.1)
-        assert first is second
-        assert encoding.trotter_step(0.2) is not first
-
-    def test_second_damage_task_makes_no_expm_calls(self, monkeypatch):
-        """The memoised encoding serves its Trotter step without expm."""
-        import repro.core.gates
-        import repro.sqed.trotter
-        from repro.sqed import encodings
-        from repro.sqed.noise_study import _build_encoding, damage_task
-
-        params = dict(
-            n_sites=2, encoding="qudit", method="density", t_total=1.0,
-            n_steps=3,
-        )
-        _build_encoding.cache_clear()
-        first = damage_task(0.02, **params)
-        calls = []
-
-        def counting_expm(matrix):
-            calls.append(matrix.shape)
-            return expm(matrix)
-
-        for module in (encodings, repro.core.gates, repro.sqed.trotter):
-            monkeypatch.setattr(module, "expm", counting_expm)
-        second = damage_task(0.02, **params)
-        assert calls == []
-        assert second == first
-
 
 class TestQubitEncoding:
     def test_qubit_count(self, chain):

@@ -19,7 +19,12 @@ simulator below:
    Given ``--parent-src DIR`` (the ``src`` directory of another checkout,
    e.g. extracted by ``git archive <rev> | tar -x -C <dir>``), the same timings
    run against that tree too, each side in a fresh interpreter.
-4. **Reservoir split step** (``reservoir``): one ``SplitStepEvolver``
+4. **Table I NDAR sample** (``trajectories.table1_ndar``): one round-0
+   NDAR sample on the ``paperbench`` ``table1_grid`` shape (9 qutrits,
+   20 shots, photon loss 0.25), its time split by plan-step kind —
+   unitary, diagonal, channel and the terminal sample — with the sampled
+   counts.  Given ``--parent-src``, the same runs against that tree too.
+5. **Reservoir split step** (``reservoir``): one ``SplitStepEvolver``
    step of the two-mode reservoir at ``levels`` 4 and 9, photon loss
    applied as two Liouville-superoperator GEMMs, against the Kraus-sum
    reference it replaced (one ``K rho K†`` sandwich per kron'd Kraus
@@ -56,6 +61,7 @@ from repro.core.structure import classify_gate
 from repro.core import gates
 from repro.qaoa import random_coloring_instance
 from repro.qaoa.circuits import add_photon_loss, qaoa_circuit
+from repro.qaoa.optimizer import linear_ramp_schedule
 from repro.reservoir import CoupledOscillators, SplitStepEvolver
 from repro.sqed import RotorChain, compare_encodings
 from repro.sqed.encodings import QubitEncoding, insert_depolarizing_noise
@@ -266,14 +272,19 @@ def _ec1_timings(step_repeats: int, ec1_bench: bool) -> dict:
     return out
 
 
-def _ec1_timings_in(src: Path | str, step_repeats: int, ec1_bench: bool) -> dict:
-    """:func:`_ec1_timings` in a fresh interpreter on the library at ``src``."""
+def _timings_in(src: Path | str, *flags: str) -> dict:
+    """Run this script with ``flags`` in a fresh interpreter on the library
+    at ``src`` and return the JSON it prints last."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    args = [sys.executable, __file__, "--ec1-timings", str(step_repeats)]
-    if ec1_bench:
-        args.append("--ec1-bench")
+    args = [sys.executable, __file__, *flags]
     done = subprocess.run(args, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _ec1_timings_in(src: Path | str, step_repeats: int, ec1_bench: bool) -> dict:
+    """:func:`_ec1_timings` in a fresh interpreter on the library at ``src``."""
+    flags = ["--ec1-timings", str(step_repeats)]
+    return _timings_in(src, *flags, *(["--ec1-bench"] if ec1_bench else []))
 
 
 def _bench_ec1_density(
@@ -320,6 +331,92 @@ def _bench_ec1_density(
             "parent_thresholds": parent["thresholds"] if parent else None,
         }
     return record
+
+
+def _table1_ndar_timings(repeats: int) -> dict:
+    """Median ms per plan-step kind of one round-0 Table I NDAR sample.
+
+    Uses names both sides of a ``--parent-src`` comparison define: the
+    engine's ``apply_step`` (unitary and diagonal steps), ``_jump_batch``
+    (channels) and ``_sample_indices`` (the terminal sample) are wrapped in
+    timers; ``other`` is the rest of ``sample`` (chunk set-up, the
+    spread of a shared prefix).  Every repeat re-seeds the simulator, so
+    all repeats draw the same counts.
+    """
+    import repro.core.trajectories as engine
+
+    problem = random_coloring_instance(9, 3, degree=4, seed=11)
+    gammas, betas = linear_ramp_schedule(1)
+    circuit = add_photon_loss(qaoa_circuit(problem, gammas, betas), 0.25)
+    spent: dict[str, float] = {}
+
+    def timed(fn, kind_of):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            result = fn(*args, **kwargs)
+            kind = kind_of(*args)
+            spent[kind] = spent.get(kind, 0.0) + time.perf_counter() - start
+            return result
+
+        return wrapper
+
+    simulator = engine.TrajectorySimulator
+    patched = {
+        (engine, "apply_step"): timed(
+            engine.apply_step, lambda tensor, step, dims: step.kind
+        ),
+        (simulator, "_jump_batch"): timed(
+            simulator._jump_batch, lambda *args: "channel"
+        ),
+        (simulator, "_sample_indices"): timed(
+            simulator._sample_indices, lambda *args: "sample"
+        ),
+    }
+    saved = {key: getattr(*key) for key in patched}
+    for (owner, name), wrapper in patched.items():
+        setattr(owner, name, wrapper)
+    try:
+        counts = simulator(circuit, seed=3).sample(20)  # warm plan caches
+        rows = []
+        for _ in range(repeats):
+            spent.clear()
+            start = time.perf_counter()
+            assert simulator(circuit, seed=3).sample(20) == counts
+            total = time.perf_counter() - start
+            rows.append({**spent, "other": total - sum(spent.values()), "total": total})
+    finally:
+        for (owner, name), fn in saved.items():
+            setattr(owner, name, fn)
+    kinds = ("unitary", "diagonal", "channel", "sample", "other", "total")
+    return {
+        "ms": {
+            kind: round(float(np.median([r.get(kind, 0.0) for r in rows])) * 1e3, 3)
+            for kind in kinds
+        },
+        "counts": {
+            "".join(map(str, digits)): n for digits, n in sorted(counts.items())
+        },
+    }
+
+
+def _bench_table1_ndar(repeats: int, parent_src: Path | str | None) -> dict:
+    """The ``trajectories.table1_ndar`` record: against a parent, each side
+    runs in a fresh interpreter; alone, this tree runs in-process."""
+    if parent_src is None:
+        change, parent = _table1_ndar_timings(repeats), None
+    else:
+        change = _timings_in(REPO_ROOT / "src", "--ndar-timings", str(repeats))
+        parent = _timings_in(parent_src, "--ndar-timings", str(repeats))
+    return {
+        "circuit": "random_coloring_instance(9, 3, degree=4, seed=11), "
+        "p=1 linear-ramp angles, photon loss 0.25 after each mixer",
+        "shots": 20,
+        "repeats": repeats,
+        "change_ms": change["ms"],
+        "parent_ms": parent["ms"] if parent else None,
+        "counts": change["counts"],
+        "parent_counts": parent["counts"] if parent else None,
+    }
 
 
 def _kraus_sum_step(evolver: SplitStepEvolver):
@@ -375,6 +472,7 @@ def run_benchmarks(
     gate_repeats: int = 300,
     n_traj_nodes: int = 7,
     n_trajectories: int = 200,
+    ndar_repeats: int = 15,
     ec1_step_repeats: int = 20,
     ec1_bench: bool = True,
     reservoir_steps: int = 40,
@@ -389,6 +487,7 @@ def run_benchmarks(
         gate_repeats: timed repetitions per gate kernel.
         n_traj_nodes: qutrits in the NDAR-style trajectory circuit.
         n_trajectories: trajectory count for the throughput section.
+        ndar_repeats: timed Table I NDAR samples per side (median kept).
         ec1_step_repeats: timed runs of the noisy qubit step (best kept).
         ec1_bench: also time E-C1 at ``bench_encoding_noise`` size
             (tens of seconds; each side then runs in a fresh interpreter).
@@ -396,7 +495,8 @@ def run_benchmarks(
             paths' deviation is tracked.
         reservoir_repeats: timed steps per path and size.
         parent_src: ``src`` directory of another checkout to time the
-            ``ec1_density`` section against (``None``: this tree only).
+            ``ec1_density`` and ``table1_ndar`` sections against
+            (``None``: this tree only).
         out_path: where to write the JSON report (``None`` = don't write).
 
     Returns:
@@ -413,7 +513,10 @@ def run_benchmarks(
             "gate_repeats": gate_repeats,
         },
         "gate_apply": gate_apply,
-        "trajectories": {"ndar_style": trajectories},
+        "trajectories": {
+            "ndar_style": trajectories,
+            "table1_ndar": _bench_table1_ndar(ndar_repeats, parent_src),
+        },
         "ec1_density": _bench_ec1_density(ec1_step_repeats, ec1_bench, parent_src),
         "reservoir": _bench_reservoir(reservoir_steps, reservoir_repeats),
         "correctness": {"max_fastpath_vs_dense_error": max_error},
@@ -427,13 +530,18 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--parent-src", type=Path, default=None,
-        help="src directory of another checkout to time ec1_density against",
+        help="src directory of another checkout to time ec1_density and "
+        "table1_ndar against",
     )
     parser.add_argument("--ec1-timings", type=int, default=None, help=argparse.SUPPRESS)
     parser.add_argument("--ec1-bench", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--ndar-timings", type=int, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.ec1_timings is not None:
         print(json.dumps(_ec1_timings(args.ec1_timings, args.ec1_bench)))
+        return
+    if args.ndar_timings is not None:
+        print(json.dumps(_table1_ndar_timings(args.ndar_timings)))
         return
     report = run_benchmarks(parent_src=args.parent_src, out_path=BENCH_JSON)
     print(json.dumps(report, indent=2))

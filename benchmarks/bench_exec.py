@@ -510,8 +510,15 @@ def bench_sqed_campaign(
     cache = ResultCache(cache_dir)
     parallel = run_campaign(campaign(), workers=workers, cache=cache)
     assert parallel.values == serial.values
-    replay = run_campaign(campaign(), workers=workers, cache=cache)
-    assert replay.values == serial.values
+    # Best of three all-hit replays: one replay of a few milliseconds,
+    # taken right after the pool exits, times the host as much as the cache.
+    replays = []
+    for _ in range(3):
+        replay = run_campaign(campaign(), workers=workers, cache=cache)
+        assert replay.values == serial.values
+        assert replay.cache_hits == n_points
+        replays.append(replay)
+    replay = min(replays, key=lambda r: r.duration_s)
     return {
         "n_points": n_points,
         "n_sites": n_sites,

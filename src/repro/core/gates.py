@@ -360,8 +360,20 @@ def complete_mixer_hamiltonian(d: int) -> np.ndarray:
 
 
 def qudit_complete_mixer(d: int, beta: float) -> np.ndarray:
-    """Permutation-symmetric mixing unitary ``exp(-i beta (J - I))``."""
-    return expm(-1j * beta * complete_mixer_hamiltonian(d))
+    """Permutation-symmetric mixing unitary ``exp(-i beta (J - I))``.
+
+    Memoised on ``(int(d), float(beta))``: a QAOA circuit applies the same
+    mixer to every node in every round, so each angle costs one ``expm``.
+    The returned array is shared and read-only.
+    """
+    return _complete_mixer(_check_dim(d), float(beta))
+
+
+@lru_cache(maxsize=256)
+def _complete_mixer(d: int, beta: float) -> np.ndarray:
+    mixer = expm(-1j * beta * complete_mixer_hamiltonian(d))
+    mixer.flags.writeable = False
+    return mixer
 
 
 def gell_mann_basis(d: int, *, include_identity: bool = False) -> list[np.ndarray]:

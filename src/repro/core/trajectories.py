@@ -15,17 +15,27 @@ runs the circuit's compiled plan
 (:meth:`~repro.core.circuit.QuditCircuit.plan`), the one the statevector
 and density engines run, so same-wire gate runs and diagonal runs arrive
 fused.  A unitary touches the whole batch in one structured kernel call; a
-channel computes every Kraus candidate for every trajectory, selects one
-branch per trajectory by vectorised inverse-CDF sampling of the Born
-weights, and renormalises the whole batch at once; resets collapse and
-re-zero a wire batch-wide.  This removes the per-trajectory Python
-interpreter loop that dominated the seed implementation (see
-``benchmarks/bench_core_engine.py`` and ``BENCH_core.json`` for the
-measured speedup).  Batches are chunked so the *working set* stays bounded
-however many trajectories are requested;
-``sample``/``expectation``/``average_density`` stream over the chunks,
-while ``run_batch``'s returned final-state array necessarily scales with
-the request.
+channel computes every trajectory's Born weights, selects one branch per
+trajectory by vectorised inverse-CDF sampling, applies the majority branch
+to the whole batch and the others to their own columns, and renormalises
+each column as the last pass of the jump (one multiply by ``1 / norm`` on
+the float view); resets collapse and re-zero a wire batch-wide.  This
+removes the per-trajectory Python interpreter loop that dominated the seed
+implementation (see ``benchmarks/bench_core_engine.py`` and
+``BENCH_core.json`` for the measured speedup).
+
+**Shared prefix.**  Every trajectory of a chunk starts from the same state,
+so the chunk is handed to :meth:`TrajectorySimulator.evolve_states` as one
+column broadcast along the batch axis (stride 0).  That column alone runs
+the plan up to the first ``channel`` or ``reset`` step, the first step
+whose outcome differs between trajectories, and is copied to the chunk's
+``B`` columns only there.  In an NDAR round the prefix is the Fourier
+layer, the fused phase separator and the first mixer.
+
+Batches are chunked so the *working set* stays bounded however many
+trajectories are requested; ``sample``/``expectation``/``average_density``
+stream over the chunks, while ``run_batch``'s returned final-state array
+necessarily scales with the request.
 """
 
 from __future__ import annotations
@@ -48,6 +58,27 @@ __all__ = ["TrajectorySimulator"]
 #: Default cap on ``register_dim * batch`` amplitudes held at once (~64 MB
 #: of complex128); larger trajectory requests are processed in chunks.
 _MAX_BATCH_AMPLITUDES = 1 << 22
+
+
+def _spread(column: np.ndarray, n_batch: int) -> np.ndarray:
+    """Copy a one-column batch ``dims + (1,)`` into ``n_batch`` columns."""
+    return np.ascontiguousarray(
+        np.broadcast_to(column, column.shape[:-1] + (n_batch,))
+    )
+
+
+def _born_squares(flat: np.ndarray) -> np.ndarray:
+    """``|psi_i|^2 = re^2 + im^2`` of a C-contiguous ``(D, B)`` batch.
+
+    One square over the float view and one add of its halves.  The
+    squares die on return, before the branch kernels allocate: holding
+    them across the jump raised the fresh-page faults of a 9-qutrit,
+    20-trajectory evolve from ~3,300 to ~21,000 and nearly doubled its
+    time (2-core VM).
+    """
+    dim, n_batch = flat.shape
+    squares = np.square(flat.view(np.float64)).reshape(dim, n_batch, 2)
+    return squares[..., 0] + squares[..., 1]
 
 
 class TrajectorySimulator:
@@ -99,6 +130,9 @@ class TrajectorySimulator:
             tensor: amplitudes of shape ``circuit.dims + (B,)`` — one
                 trajectory per trailing-axis slice.  A rank-``n`` tensor
                 (no batch axis) is also accepted and evolved as ``B = 1``.
+                A batch with stride 0 on the batch axis (one state
+                broadcast ``B`` times) evolves as one column until the
+                first channel or reset.  The input is never written.
             rng: generator for the stochastic draws of this run; defaults
                 to the simulator's own stream.  The chunked drivers pass a
                 spawned per-chunk generator here so each chunk's
@@ -118,13 +152,25 @@ class TrajectorySimulator:
                 f"batch tensor shape {tensor.shape} does not match register "
                 f"dims {dims} plus one batch axis"
             )
+        n_batch = tensor.shape[-1]
+        # A batch broadcast from one column (stride 0 on the batch axis)
+        # holds B copies of one state: evolve that column alone until the
+        # first stochastic step, and only there spread it to B columns.
+        shared = n_batch > 1 and tensor.strides[-1] == 0
+        if shared:
+            tensor = np.ascontiguousarray(tensor[..., :1])
         for step in self.circuit.plan():
+            if shared and step.kind in ("channel", "reset"):
+                tensor = _spread(tensor, n_batch)
+                shared = False
             if step.kind == "channel":
                 tensor = self._jump_batch(tensor, step, rng)
             elif step.kind == "reset":
                 tensor = self._reset_batch(tensor, step.instruction.qudits[0], rng)
             else:
                 tensor = apply_step(tensor, step, dims)
+        if shared:
+            tensor = _spread(tensor, n_batch)
         return tensor[..., 0] if squeeze else tensor
 
     def _categorical_draw(
@@ -149,9 +195,11 @@ class TrajectorySimulator:
             raise SimulationError(zero_message)
         rng = self._rng if rng is None else rng
         draws = rng.random(weights.shape[1]) * totals
-        cumulative = np.cumsum(weights, axis=0)
+        # Each column's running sum, taken along the rows of the transpose:
+        # the same additions in the same order, over contiguous memory.
+        cumulative = np.ascontiguousarray(weights.T).cumsum(axis=1)
         return np.minimum(
-            (cumulative < draws[None, :]).sum(axis=0), weights.shape[0] - 1
+            (cumulative < draws[:, None]).sum(axis=1), weights.shape[0] - 1
         )
 
     def _channel_weight_plan(self, instruction: Instruction) -> np.ndarray | None:
@@ -190,6 +238,7 @@ class TrajectorySimulator:
 
         The channel's Born-weight plan is built on first use and kept in
         the plan step's cache, so it lives exactly as long as the step.
+        The input batch is only read; the jumped batch is a new array.
         """
         instruction = step.instruction
         dims = self.circuit.dims
@@ -200,11 +249,10 @@ class TrajectorySimulator:
         if "born" not in step.cache:
             step.cache["born"] = self._channel_weight_plan(instruction)
         weight_plan = step.cache["born"]
-        flat = tensor.reshape(dim, n_batch)
         candidates: list[np.ndarray] | None = None
         if weight_plan is not None:
-            born = flat.real**2 + flat.imag**2  # |psi_i|^2 per trajectory
-            weights = weight_plan @ born
+            flat = np.ascontiguousarray(tensor.reshape(dim, n_batch))
+            weights = weight_plan @ _born_squares(flat)
         else:
             candidates = []
             weights = np.empty((len(kraus), n_batch))
@@ -229,26 +277,32 @@ class TrajectorySimulator:
                     out[:, mask] = cand[:, mask]
         else:
             # Apply the majority branch to the whole batch with one kernel
-            # call, then patch only the minority columns — column masking
-            # is far more expensive than the kernels themselves.
+            # call, then patch only the minority columns, gathered and
+            # written back by index — column masking is far more expensive
+            # than the kernels themselves.
             counts = np.bincount(choice, minlength=len(kraus))
             major = int(counts.argmax())
-            out = apply_matrix(
-                tensor, kraus[major], dims, instruction.qudits,
-                structure=structures[major],
-            ).reshape(dim, n_batch)
-            if not out.flags.writeable or out.base is tensor:
+            out = np.ascontiguousarray(
+                apply_matrix(
+                    tensor, kraus[major], dims, instruction.qudits,
+                    structure=structures[major],
+                ).reshape(dim, n_batch)
+            )
+            if not out.flags.writeable or np.may_share_memory(out, tensor):
                 out = out.copy()
-            for k in range(len(kraus)):
-                if k == major or counts[k] == 0:
+            for k in np.flatnonzero(counts):
+                if k == major:
                     continue
-                mask = choice == k
-                sub = np.ascontiguousarray(flat[:, mask]).reshape(dims + (-1,))
-                out[:, mask] = apply_matrix(
-                    sub, kraus[k], dims, instruction.qudits,
-                    structure=structures[k],
+                columns = np.flatnonzero(choice == k)
+                out[:, columns] = apply_matrix(
+                    flat[:, columns].reshape(dims + (-1,)), kraus[k], dims,
+                    instruction.qudits, structure=structures[k],
                 ).reshape(dim, -1)
-        out /= norms[None, :]
+        # Renormalise with one multiply by 1 / norm on the float view: the
+        # arithmetic numpy's complex-by-real division performs, in about
+        # half its time.
+        pairs = out.view(np.float64).reshape(dim, 2 * n_batch)
+        np.multiply(pairs, np.repeat(1.0 / norms, 2), out=pairs)
         return out.reshape(tensor.shape)
 
     def _reset_batch(
@@ -317,10 +371,9 @@ class TrajectorySimulator:
         sizes = self._chunk_sizes(n_trajectories)
         seeds = spawn_seeds(derive_seed(self._rng), len(sizes))
         for index, (size, seed) in enumerate(zip(sizes, seeds)):
-            batch = np.ascontiguousarray(
-                np.broadcast_to(
-                    initial.tensor[..., None], initial.tensor.shape + (size,)
-                )
+            # Stride 0 on the batch axis: evolve_states shares the prefix.
+            batch = np.broadcast_to(
+                initial.tensor[..., None], initial.tensor.shape + (size,)
             )
             gen = np.random.default_rng(seed)
             if _metrics.enabled or _tracing.enabled:

@@ -17,6 +17,24 @@ from repro.core.statevector import apply_matrix, apply_matrix_dense
 from repro.core.structure import DENSE, DIAGONAL, PERMUTATION, classify_gate
 
 
+#: ``sample_noisy_qaoa`` outcomes (each drawn once) on the Table I coloring
+#: instance at seeds 0-2, recorded before the shared-prefix engine.
+TABLE1_COUNTS = {
+    0: "000002000 000110020 001001112 002010001 010010110 010101100 "
+    "010211102 011101101 011111120 020022000 100010121 100120010 "
+    "101110110 111110111 121101001 200001221 200002000 210020100 "
+    "221102122 221221120",
+    1: "000000000 000101012 000220210 001101010 001110012 002020001 "
+    "011122101 020101012 022111011 022211211 100100210 101002010 "
+    "101011102 102121111 110000010 110101001 111011000 121110001 "
+    "122010111 201020110",
+    2: "000110100 000200010 010110201 010201000 011202000 020200202 "
+    "021011012 022200200 100112011 101000011 102210121 110010112 "
+    "110101022 120100122 121001101 121101011 202000001 210110011 "
+    "212100111 220001021",
+}
+
+
 def _random_diagonal(dim, rng):
     return np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
 
@@ -199,7 +217,88 @@ class TestBatchedTrajectories:
         qc.csum(0, 1)
         full = TrajectorySimulator(qc, seed=2).run_batch(10)
         chunked = TrajectorySimulator(qc, seed=2, max_batch=3).run_batch(10)
-        np.testing.assert_allclose(chunked, full, atol=1e-12)
+        assert np.array_equal(chunked, full)
+
+    def test_noiseless_batch_equals_statevector_evolve(self):
+        """No stochastic step: the shared column runs the whole plan and
+        every one of the B columns is exactly ``Statevector.evolve``."""
+        rng = np.random.default_rng(17)
+        dims = (3, 3, 3)
+        qc = QuditCircuit(dims)
+        for wire in range(3):
+            qc.fourier(wire)
+        qc.controlled_phase(0, 2, 0.3)
+        qc.csum(1, 2)
+        qc.unitary(haar_unitary(3, rng), 1, name="haar")
+        sv = Statevector(random_statevector(27, rng), dims)
+        final = TrajectorySimulator(qc, seed=0).run_batch(6, initial=sv)
+        expected = sv.evolve(qc).vector
+        assert final.flags.writeable
+        for b in range(6):
+            assert np.array_equal(final[:, b], expected)
+
+    @pytest.mark.parametrize("first", ["channel", "reset"])
+    def test_stochastic_first_step_spreads_before_it(self, first):
+        """A broadcast batch whose plan opens with a channel or a reset is
+        spread before that step, and matches the same batch copied out."""
+        from repro.core.channels import photon_loss
+
+        dims = (3, 3)
+        qc = QuditCircuit(dims)
+        if first == "channel":
+            qc.channel(photon_loss(3, 0.4).kraus, 0, name="loss")
+        else:
+            qc.reset(0)
+        qc.fourier(1)
+        qc.csum(1, 0)
+        qc.channel(photon_loss(3, 0.4).kraus, 1, name="loss")
+        rng = np.random.default_rng(21)
+        initial = random_statevector(9, rng).reshape(dims)
+        shared = np.broadcast_to(initial[..., None], dims + (16,))
+        sim = TrajectorySimulator(qc, seed=0)
+        out = sim.evolve_states(shared, rng=np.random.default_rng(5))
+        copied = sim.evolve_states(
+            np.ascontiguousarray(shared), rng=np.random.default_rng(5)
+        )
+        assert np.array_equal(out, copied)
+        np.testing.assert_allclose(
+            np.linalg.norm(out.reshape(9, 16), axis=0), 1.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("first", ["unitary", "channel", "reset"])
+    def test_evolve_states_leaves_input_unchanged(self, first):
+        from repro.core.channels import photon_loss
+
+        dims = (3, 3)
+        qc = QuditCircuit(dims)
+        if first == "unitary":
+            qc.fourier(0)
+        elif first == "channel":
+            qc.channel(photon_loss(3, 0.5).kraus, 0, name="loss")
+        else:
+            qc.reset(0)
+        qc.channel(photon_loss(3, 0.5).kraus, 1, name="loss")
+        rng = np.random.default_rng(8)
+        batch = np.stack(
+            [random_statevector(9, rng).reshape(dims) for _ in range(12)], axis=-1
+        )
+        before = batch.copy()
+        TrajectorySimulator(qc, seed=4).evolve_states(batch)
+        assert np.array_equal(batch, before)
+
+    def test_table1_noisy_qaoa_counts_pinned(self):
+        """Round-0 NDAR sampling on the Table I instance (9 qutrits, 20
+        shots, loss 0.25): counts pinned to the unshared-prefix engine."""
+        from repro.qaoa import random_coloring_instance
+        from repro.qaoa.ndar import sample_noisy_qaoa
+        from repro.qaoa.optimizer import linear_ramp_schedule
+
+        problem = random_coloring_instance(9, 3, degree=4, seed=11)
+        gammas, betas = linear_ramp_schedule(1)
+        for seed, pinned in TABLE1_COUNTS.items():
+            counts = sample_noisy_qaoa(problem, gammas, betas, 0.25, 20, seed=seed)
+            assert set(counts.values()) == {1}
+            assert sorted("".join(map(str, k)) for k in counts) == pinned.split()
 
     def test_batched_reset_sends_wire_to_zero(self):
         qc = QuditCircuit([3, 3])
@@ -288,6 +387,18 @@ class TestBatchedTrajectories:
         assert out.shape == (3, 3)
         expected = Statevector.zero([3, 3]).evolve(qc).tensor
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def test_complete_mixer_is_memoised_read_only_expm():
+    from scipy.linalg import expm
+
+    mixer = gates.qudit_complete_mixer(3, 0.6)
+    assert gates.qudit_complete_mixer(3.0, np.float64(0.6)) is mixer
+    assert not mixer.flags.writeable
+    with pytest.raises(ValueError):
+        mixer[0, 0] = 0.0
+    reference = expm(-1j * 0.6 * gates.complete_mixer_hamiltonian(3))
+    assert np.array_equal(mixer, reference)
 
 
 class TestMeasureQuditSlicing:

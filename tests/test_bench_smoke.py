@@ -56,6 +56,7 @@ def test_core_engine_bench_smoke(tmp_path):
         n_trajectories=8,
         ec1_step_repeats=2,
         ec1_bench=False,
+        ndar_repeats=1,
         reservoir_steps=10,
         reservoir_repeats=10,
         out_path=out,
@@ -71,6 +72,12 @@ def test_core_engine_bench_smoke(tmp_path):
     # A 10-step smoke timing at levels 4 (~50 us against ~145 us) is too
     # short to gate on; levels 9 has a ~10x margin.
     _check_reservoir_record(report["reservoir"], timed=("levels_9",))
+    # The Table I NDAR sample draws the counts the committed record took
+    # from the parent engine (too short a run here to gate on its time).
+    committed = json.loads((REPO_ROOT / "BENCH_core.json").read_text())
+    ndar = report["trajectories"]["table1_ndar"]
+    assert ndar["counts"] == committed["trajectories"]["table1_ndar"]["parent_counts"]
+    assert ndar["change_ms"]["total"] > 0
     trajectories = report["trajectories"]["ndar_style"]
     assert trajectories["n_trajectories"] == 8
     assert trajectories["batched_s"] > 0 and trajectories["seed_loop_s"] > 0
@@ -443,6 +450,9 @@ def test_committed_bench_core_json_meets_targets():
     assert gate["diagonal_geomean_speedup"] >= 3.0
     assert gate["permutation_geomean_speedup"] >= 3.0
     assert report["trajectories"]["ndar_style"]["speedup"] >= 5.0
+    ndar = report["trajectories"]["table1_ndar"]
+    assert ndar["counts"] == ndar["parent_counts"]
+    assert ndar["change_ms"]["total"] <= 0.6 * ndar["parent_ms"]["total"]
     assert report["correctness"]["max_fastpath_vs_dense_error"] < 1e-12
     step = report["ec1_density"]["noisy_qubit_step"]
     assert step["max_error_vs_apply_kraus"] < 1e-12

@@ -14,6 +14,7 @@ from repro.hardware import (
     linear_cavity_array,
     roadmap_summary,
 )
+from repro.qaoa import optimize_qaoa, random_coloring_instance, run_ndar
 from repro.reservoir import ReservoirTomograph
 from repro.sqed import (
     RotorLadder2D,
@@ -65,6 +66,46 @@ def test_table1_row1_sqed_campaign_estimate():
     assert resources.fidelity < 0.1
     assert adj.fidelity < coloc.fidelity
     assert coloc.fidelity > 0.8
+
+
+def test_table1_row2_ndar_coloring_at_n9():
+    """Table I row 2: NDAR-QAOA 3-coloring on nine qutrits.
+
+    A 9-node 4-regular instance; p = 1 QAOA optimised noiselessly, then
+    4 noisy NDAR rounds of 40 shots at per-layer photon loss 0.25.
+    """
+    problem = random_coloring_instance(9, 3, degree=4, seed=11)
+    qaoa = optimize_qaoa(problem, p=1, maxiter=100)
+    ndar = run_ndar(problem, n_rounds=4, shots=40, loss_per_layer=0.25, p=1, seed=5)
+    assert qaoa.approximation_ratio > 0.6
+    assert ndar.approximation_ratio >= qaoa.approximation_ratio * 0.8
+
+
+def test_ec3_ndar_beats_vanilla_under_strong_loss():
+    """E-C3: at per-layer loss 0.5, NDAR's final round samples better
+    colorings than vanilla noisy QAOA with the same shots (ref [21]).
+
+    Mean final-round sampled clash count over seeds 0-3 on a 6-node
+    4-regular instance, 4 rounds of 30 shots each.
+    """
+    problem = random_coloring_instance(6, 3, degree=4, seed=21)
+    finals = {
+        adaptive: np.mean(
+            [
+                run_ndar(
+                    problem,
+                    n_rounds=4,
+                    shots=30,
+                    loss_per_layer=0.5,
+                    adaptive=adaptive,
+                    seed=seed,
+                ).rounds[-1].mean_sampled_cost
+                for seed in range(4)
+            ]
+        )
+        for adaptive in (True, False)
+    }
+    assert finals[True] <= finals[False], finals
 
 
 def test_e3d_2x2x2_fits_forecast_cavities_with_a_gap():

@@ -14,8 +14,9 @@ simulator below:
 3. **E-C1 on the density engine** (``ec1_density``): one noisy Trotter
    step of the binary-encoded 2-site rotor chain (the ``paperbench``
    ``ec1_threshold`` size, 4 qubits) and the whole E-C1 comparison at
-   ``bench_encoding_noise`` size, with the step's agreement with the
-   operator-by-operator ``apply_kraus`` loop and its compiled-op count.
+   the size of the tier-1 E-C1 claim (``tests/test_paper_claims.py``),
+   with the step's agreement with the operator-by-operator
+   ``apply_kraus`` loop and its compiled-op count.
    Given ``--parent-src DIR`` (the ``src`` directory of another checkout,
    e.g. extracted by ``git archive <rev> | tar -x -C <dir>``), the same timings
    run against that tree too, each side in a fresh interpreter.
@@ -489,7 +490,7 @@ def run_benchmarks(
         n_trajectories: trajectory count for the throughput section.
         ndar_repeats: timed Table I NDAR samples per side (median kept).
         ec1_step_repeats: timed runs of the noisy qubit step (best kept).
-        ec1_bench: also time E-C1 at ``bench_encoding_noise`` size
+        ec1_bench: also time E-C1 at the tier-1 claim's size
             (tens of seconds; each side then runs in a fresh interpreter).
         reservoir_steps: driven steps over which the two split-step
             paths' deviation is tracked.

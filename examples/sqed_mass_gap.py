@@ -45,7 +45,7 @@ def encoding_fragility_demo() -> None:
         dq = trajectory_damage(qudit, eps, t_total=2.0, n_steps=5)
         db = trajectory_damage(qubit, eps, t_total=2.0, n_steps=5)
         print(f"  eps={eps}: qudit damage {dq:.4f} | qubit damage {db:.4f}")
-    print("(full 10-100x threshold-ratio sweep: benchmarks/bench_encoding_noise.py)")
+    print("(full 10-100x threshold-ratio sweep: tests/test_paper_claims.py, E-C1)")
 
 
 if __name__ == "__main__":

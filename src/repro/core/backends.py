@@ -12,8 +12,8 @@ touching every study.  This module gives every simulator one face:
 
 Backends implement ``run(circuit, initial=None, **options) -> BackendResult``
 and ``prepare(dims, digits=None, **options)`` (an unevolved state usable as
-``initial``, which is how stepwise drivers — Trotter observable recording,
-reservoir clock loops — carry one state through many circuit segments).
+``initial``, which is how the stepwise Trotter observable recorder
+carries one state through many circuit segments).
 Results expose ``expectation`` / ``sample`` / ``probabilities_of`` (plus a
 dense ``probabilities`` for small registers), so a workload written against
 the protocol runs unchanged on any registered engine.

@@ -44,13 +44,10 @@ def reservoir_nmse_task(
     input_gain: float = 1.0,
     drive_bias: float = 1.0,
     dt: float = 1.0,
-    feature_set: str = "populations",
-    method: str = "splitstep",
     alphas=(1e-4,),
     washout: int = 20,
     train_fraction: float = 0.7,
     shots: int = 0,
-    target_error: float | None = None,
     seed: int = 0,
 ) -> list[dict]:
     """Campaign task: train/test NMSE of one reservoir at every ridge α.
@@ -69,13 +66,10 @@ def reservoir_nmse_task(
         length, task_seed: input-sequence spec.
         levels, coupling, kappa, dt: oscillator parameters (symmetric
             ``kappa`` on both modes).
-        input_gain, drive_bias, feature_set, method: reservoir knobs.
+        input_gain, drive_bias: reservoir drive knobs.
         alphas: ridge regularisation strengths to score.
         washout, train_fraction: readout training spec.
         shots: projective shots per time step (0 = exact populations).
-        target_error: accuracy contract forwarded to the ``"auto"``
-            backend when ``method="auto"`` (ignored by the direct
-            ``"splitstep"`` propagator and explicit engines).
         seed: the campaign's spawned per-point seed (drives shot noise).
 
     Returns:
@@ -89,19 +83,11 @@ def reservoir_nmse_task(
         kappa_1=float(kappa),
         kappa_2=float(kappa),
     )
-    backend_options = (
-        {"target_error": float(target_error)}
-        if target_error is not None and method == "auto"
-        else None
-    )
     reservoir = QuantumReservoir(
         osc,
         dt=float(dt),
         input_gain=float(input_gain),
         drive_bias=float(drive_bias),
-        feature_set=feature_set,
-        method=method,
-        backend_options=backend_options,
     )
     features = reservoir.run(series.inputs)
     if int(shots) > 0:
@@ -131,8 +117,6 @@ def reservoir_grid_campaign(
     cache=None,
     checkpoint=None,
     seed: int = 0,
-    method: str = "splitstep",
-    target_error: float | None = None,
     executor=None,
     policy=None,
     ledger=None,
@@ -153,11 +137,6 @@ def reservoir_grid_campaign(
         workers, cache, checkpoint, seed: campaign execution knobs
             (see :func:`repro.exec.run_campaign`; ``workers`` is ignored
             when an ``executor`` is given).
-        method: reservoir propagator — ``"splitstep"`` (the seed direct
-            density-matrix propagator) or a backend name such as
-            ``"auto"`` (:func:`repro.core.backends.get_backend`).
-        target_error: accuracy contract for ``method="auto"`` points;
-            also arms the executor's mid-run cap escalation.
         executor: an existing :class:`repro.exec.CampaignExecutor` —
             re-tuning loops that sweep many grids reuse its warm pool.
         policy: a :class:`repro.exec.FailurePolicy` (or mode string) for
@@ -184,11 +163,7 @@ def reservoir_grid_campaign(
     """
     from ..exec import Campaign, executor_scope, grid_sweep
 
-    task_params = dict(
-        task_params, method=method, alphas=[float(v) for v in alphas]
-    )
-    if target_error is not None:
-        task_params["target_error"] = target_error
+    task_params = dict(task_params, alphas=[float(v) for v in alphas])
     campaign = Campaign(
         task="repro.reservoir.grid:reservoir_nmse_task",
         sweep=grid_sweep(
@@ -199,7 +174,6 @@ def reservoir_grid_campaign(
         name="reservoir-grid",
         base_params=task_params,
         seed=seed,
-        target_error=target_error,
     )
     scope = executor_scope(
         executor, workers=workers, cache=cache, policy=policy, ledger=ledger

@@ -31,6 +31,10 @@ from ..core.gates import annihilation, number_op
 
 __all__ = ["CoupledOscillators", "SplitStepEvolver"]
 
+#: Drive values are rounded to this many decimals before propagator
+#: lookup, so repeated inputs hit the unitary cache.
+DRIVE_DECIMALS = 4
+
 
 @dataclass(frozen=True)
 class CoupledOscillators:
@@ -142,8 +146,6 @@ class SplitStepEvolver:
     Args:
         oscillators: reservoir parameters.
         dt: step duration.
-        drive_quantisation: inputs are rounded to this many decimals before
-            propagator lookup so repeated values hit the unitary cache.
         cache_size: cached drive unitaries.
     """
 
@@ -151,14 +153,12 @@ class SplitStepEvolver:
         self,
         oscillators: CoupledOscillators,
         dt: float,
-        drive_quantisation: int = 4,
         cache_size: int = 512,
     ) -> None:
         if dt <= 0:
             raise SimulationError("dt must be positive")
         self.osc = oscillators
         self.dt = float(dt)
-        self.drive_quantisation = int(drive_quantisation)
         self._cache: dict[float, np.ndarray] = {}
         self._cache_size = int(cache_size)
         self._ham = oscillators.hamiltonian()
@@ -181,8 +181,9 @@ class SplitStepEvolver:
             return None
         return sum(np.kron(k, k.conj()) for k in family)
 
-    def _unitary(self, drive: float) -> np.ndarray:
-        key = round(float(drive), self.drive_quantisation)
+    def unitary_for(self, drive: float) -> np.ndarray:
+        """The cached one-step joint unitary ``exp(-i dt (H + drive D))``."""
+        key = round(float(drive), DRIVE_DECIMALS)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -192,14 +193,6 @@ class SplitStepEvolver:
         self._cache[key] = u
         return u
 
-    def quantise_drive(self, drive: float) -> float:
-        """The drive value rounded to the propagator-cache resolution."""
-        return round(float(drive), self.drive_quantisation)
-
-    def unitary_for(self, drive: float) -> np.ndarray:
-        """The cached one-step joint unitary ``exp(-i dt (H + drive D))``."""
-        return self._unitary(drive)
-
     def _regroup(self, matrix: np.ndarray) -> np.ndarray:
         """Swap the mode-2 ket and mode-1 bra indices (an involution)."""
         d = self.osc.levels
@@ -207,7 +200,7 @@ class SplitStepEvolver:
 
     def step(self, rho: np.ndarray, drive: float = 0.0) -> np.ndarray:
         """Advance one step under the given drive value."""
-        u = self._unitary(drive)
+        u = self.unitary_for(drive)
         rho = u @ rho @ u.conj().T
         if self.loss_families:
             regrouped = self._regroup(rho)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.circuit import QuditCircuit
 from ..core.exceptions import SimulationError
 from .oscillators import CoupledOscillators, SplitStepEvolver
 
@@ -33,21 +32,6 @@ class QuantumReservoir:
             the input (interference with the coherent carrier) instead of
             quadratically, which dramatically improves the feature map —
             the analog-QRC experiments drive around a carrier the same way.
-        feature_set: ``'populations'`` (levels^2 joint Fock populations,
-            the 81-neuron readout) or ``'moments'`` (a compact vector of
-            photon-number and quadrature moments, 8 features).
-        method: ``'splitstep'`` (the seed direct density-matrix propagator)
-            or any registered simulation backend name (``'density'``,
-            ``'mps'``, ``'lpdo'``, ...) — each clock period is then
-            executed as a two-wire circuit (driven unitary + per-mode loss
-            channels) through :mod:`repro.core.backends`.  ``'density'``
-            reproduces the split-step physics exactly; ``'lpdo'`` is also
-            exact (channels applied through the Kraus leg, no trajectory
-            sampling) while scaling to multi-mode reservoirs whose joint
-            space outgrows dense storage; ``'mps'`` reaches the same sizes
-            but with stochastically unravelled loss.
-        backend_options: engine knobs for non-splitstep methods
-            (``max_bond``, ``max_kraus``, ``n_trajectories``, ``rng``, ...).
     """
 
     def __init__(
@@ -56,102 +40,31 @@ class QuantumReservoir:
         dt: float = 1.0,
         input_gain: float = 1.0,
         drive_bias: float = 1.0,
-        feature_set: str = "populations",
-        method: str = "splitstep",
-        backend_options: dict | None = None,
     ) -> None:
-        if feature_set not in ("populations", "moments"):
-            raise SimulationError(f"unknown feature set {feature_set!r}")
         self.osc = oscillators or CoupledOscillators()
         self.dt = float(dt)
         self.input_gain = float(input_gain)
         self.drive_bias = float(drive_bias)
-        self.feature_set = feature_set
-        self.method = method
-        self.backend_options = dict(backend_options or {})
         self._evolver = SplitStepEvolver(self.osc, self.dt)
-        self._moment_ops = self._build_moment_ops()
-        self._circuit_cache: dict[float, QuditCircuit] = {}
-
-    def _build_moment_ops(self) -> list[np.ndarray]:
-        a1, a2 = self.osc.a1(), self.osc.a2()
-        n1, n2 = self.osc.n1(), self.osc.n2()
-        x1 = (a1 + a1.conj().T) / np.sqrt(2)
-        p1 = -1j * (a1 - a1.conj().T) / np.sqrt(2)
-        x2 = (a2 + a2.conj().T) / np.sqrt(2)
-        p2 = -1j * (a2 - a2.conj().T) / np.sqrt(2)
-        return [n1, n2, x1, p1, x2, p2, n1 @ n1, n1 @ n2]
 
     @property
     def n_features(self) -> int:
         """Feature-vector length ('neuron' count)."""
-        if self.feature_set == "populations":
-            return self.osc.dim
-        return len(self._moment_ops)
+        return self.osc.dim
 
     def features_of(self, rho: np.ndarray) -> np.ndarray:
-        """Feature vector of one state."""
-        if self.feature_set == "populations":
-            return np.real(np.diag(rho)).clip(min=0.0)
-        return np.array(
-            [float(np.real(np.trace(rho @ op))) for op in self._moment_ops]
-        )
-
-    def _step_circuit(self, drive: float) -> QuditCircuit:
-        """One clock period as a two-wire circuit (cached per drive value).
-
-        Delegates drive quantisation, the propagator and the photon-loss
-        families to the split-step evolver, so both evolution paths share
-        one unitary cache, one rounding rule and one set of Kraus families.
-        """
-        key = self._evolver.quantise_drive(drive)
-        cached = self._circuit_cache.get(key)
-        if cached is not None:
-            return cached
-        qc = QuditCircuit(self.osc.dims, name="reservoir-step")
-        qc.unitary(self._evolver.unitary_for(key), (0, 1), name="drive", drive=key)
-        for mode, kraus in self._evolver.loss_families.items():
-            qc.channel(kraus, mode, name="loss")
-        if len(self._circuit_cache) >= self._evolver._cache_size:
-            self._circuit_cache.pop(next(iter(self._circuit_cache)))
-        self._circuit_cache[key] = qc
-        return qc
-
-    def _features_from_result(self, result) -> np.ndarray:
-        """Feature vector of one backend result."""
-        if self.feature_set == "populations":
-            return np.asarray(result.probabilities(), dtype=float)
-        return np.array(
-            [result.expectation(op, (0, 1)) for op in self._moment_ops]
-        )
-
-    def _run_backend(self, inputs: np.ndarray) -> np.ndarray:
-        """Clock loop through the unified backend registry."""
-        from ..core.backends import get_backend
-
-        backend = get_backend(self.method, **self.backend_options)
-        state = backend.prepare(self.osc.dims)
-        out = np.empty((inputs.size, self.n_features))
-        for t, u in enumerate(inputs):
-            drive = self.drive_bias + self.input_gain * float(u)
-            state = backend.run(self._step_circuit(drive), initial=state)
-            out[t] = self._features_from_result(state)
-        return out
+        """Feature vector of one state: its joint Fock populations."""
+        return np.real(np.diag(rho)).clip(min=0.0)
 
     def run(
-        self,
-        inputs: np.ndarray,
-        initial: np.ndarray | None = None,
-        reset: bool = True,
+        self, inputs: np.ndarray, initial: np.ndarray | None = None
     ) -> np.ndarray:
         """Feed an input sequence; collect one feature vector per step.
 
         Args:
             inputs: 1-D input samples.
-            initial: starting density matrix (vacuum if omitted;
-                ``'splitstep'`` method only).
-            reset: ignored placeholder for API symmetry with ESNs (the
-                reservoir always starts from ``initial``).
+            initial: starting density matrix, ``(dim, dim)`` (vacuum if
+                omitted).
 
         Returns:
             Feature matrix of shape ``(len(inputs), n_features)``.
@@ -159,13 +72,15 @@ class QuantumReservoir:
         inputs = np.asarray(inputs, dtype=float).ravel()
         if inputs.size == 0:
             raise SimulationError("empty input sequence")
-        if self.method != "splitstep":
-            if initial is not None:
+        if initial is None:
+            rho = self.osc.vacuum()
+        else:
+            rho = np.asarray(initial, complex)
+            if rho.shape != (self.osc.dim, self.osc.dim):
                 raise SimulationError(
-                    "initial states are only supported with method='splitstep'"
+                    f"initial state has shape {rho.shape}, expected "
+                    f"({self.osc.dim}, {self.osc.dim})"
                 )
-            return self._run_backend(inputs)
-        rho = self.osc.vacuum() if initial is None else np.asarray(initial, complex)
         out = np.empty((inputs.size, self.n_features))
         for t, u in enumerate(inputs):
             drive = self.drive_bias + self.input_gain * float(u)

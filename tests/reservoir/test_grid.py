@@ -29,6 +29,13 @@ class TestReservoirNmseTask:
         assert all(record["n_features"] == 9 for record in records)
         assert len({record["nmse"] for record in records}) == len(ALPHAS)
 
+    def test_nmse_values_pinned(self):
+        records = reservoir_nmse_task(alphas=ALPHAS, **SMALL)
+        assert [record["nmse"] for record in records] == pytest.approx(
+            [1.1942027958283845, 1.3568895322557237, 1.9150070433342254],
+            rel=1e-9,
+        )
+
     def test_alphas_share_one_shot_noise_draw(self):
         """With shots > 0 every α is scored on the same sampled features."""
         joint = reservoir_nmse_task(alphas=ALPHAS, shots=40, seed=11, **SMALL)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import DensityMatrix
+from repro.core import DensityMatrix, QuditCircuit
 from repro.core.exceptions import DimensionError, SimulationError
 from repro.core.gates import is_hermitian
 from repro.core.lindblad import LindbladPropagator
-from repro.reservoir import CoupledOscillators, SplitStepEvolver
+from repro.reservoir import CoupledOscillators, QuantumReservoir, SplitStepEvolver
 
 
 @pytest.fixture()
@@ -119,6 +119,28 @@ class TestSplitStepEvolver:
             expected = reference.matrix / np.trace(reference.matrix).real
             rho = evolver.step(rho, drive)
             assert np.abs(rho - expected).max() <= 1e-13
+
+    def test_clock_periods_as_circuits_match_reservoir(self):
+        """The density engine, fed each clock period as a two-wire circuit
+        (drive unitary + per-mode loss channels), reproduces the reservoir's
+        populations."""
+        osc = CoupledOscillators(
+            levels=4, omega_2=2.5, coupling=1.2, kappa_1=0.2, kappa_2=0.2
+        )
+        inputs = np.sin(np.linspace(0, 4, 8))
+        reservoir = QuantumReservoir(osc)
+        evolver = SplitStepEvolver(osc, reservoir.dt)
+        state = DensityMatrix(osc.vacuum(), osc.dims)
+        populations = []
+        for u in inputs:
+            drive = reservoir.drive_bias + reservoir.input_gain * u
+            period = QuditCircuit(osc.dims)
+            period.unitary(evolver.unitary_for(drive), (0, 1))
+            for mode, kraus in evolver.loss_families.items():
+                period.channel(kraus, mode)
+            state = state.evolve(period)
+            populations.append(state.probabilities())
+        np.testing.assert_allclose(populations, reservoir.run(inputs), atol=1e-10)
 
     def test_unitary_cache(self, small_osc):
         evolver = SplitStepEvolver(small_osc, dt=0.5, cache_size=2)

@@ -53,19 +53,14 @@ class TestQuantumReservoir:
         fb = tiny_reservoir.run([0.0, 0.0, 0.5])
         assert np.abs(fa[-1] - fb[-1]).max() > 1e-4
 
-    def test_moment_features(self):
-        osc = CoupledOscillators(levels=3)
-        res = QuantumReservoir(osc, feature_set="moments")
-        feats = res.run([0.1, 0.2])
-        assert feats.shape == (2, 8)
-
-    def test_invalid_feature_set(self):
-        with pytest.raises(SimulationError):
-            QuantumReservoir(feature_set="banana")
-
     def test_empty_input(self, tiny_reservoir):
         with pytest.raises(SimulationError):
             tiny_reservoir.run([])
+
+    def test_wrong_shaped_initial_state(self, tiny_reservoir):
+        for initial in (np.eye(4), np.ones(16)):
+            with pytest.raises(SimulationError, match="expected \\(16, 16\\)"):
+                tiny_reservoir.run([0.1, 0.2], initial=initial)
 
 
 class TestReadout:
@@ -196,64 +191,3 @@ class TestShotNoise:
         with pytest.raises(SimulationError):
             sample_population_features(np.ones((2, 2)) / 2, 0)
 
-
-class TestBackendEvolution:
-    """The reservoir clock loop through the unified backend registry."""
-
-    def _osc(self):
-        return CoupledOscillators(
-            levels=4, omega_2=2.5, coupling=1.2, kappa_1=0.2, kappa_2=0.2
-        )
-
-    def test_density_backend_matches_splitstep(self):
-        inputs = np.sin(np.linspace(0, 4, 8))
-        reference = QuantumReservoir(self._osc()).run(inputs)
-        via_backend = QuantumReservoir(self._osc(), method="density").run(inputs)
-        np.testing.assert_allclose(via_backend, reference, atol=1e-10)
-
-    def test_density_backend_matches_splitstep_moments(self):
-        inputs = np.sin(np.linspace(0, 4, 6))
-        reference = QuantumReservoir(self._osc(), feature_set="moments").run(inputs)
-        via_backend = QuantumReservoir(
-            self._osc(), feature_set="moments", method="density"
-        ).run(inputs)
-        np.testing.assert_allclose(via_backend, reference, atol=1e-10)
-
-    def test_lpdo_backend_tracks_splitstep(self):
-        """Exact-channel LPDO feature trajectories follow the dense
-        split-step reference closely at modest caps — deterministically,
-        with no trajectory sampling noise."""
-        inputs = np.sin(np.linspace(0, 4, 6))
-        reference = QuantumReservoir(self._osc()).run(inputs)
-        options = {"max_bond": 64, "max_kraus": 64}
-        via_lpdo = QuantumReservoir(
-            self._osc(), method="lpdo", backend_options=options
-        ).run(inputs)
-        np.testing.assert_allclose(via_lpdo, reference, atol=1e-3)
-        again = QuantumReservoir(
-            self._osc(), method="lpdo", backend_options=options
-        ).run(inputs)
-        np.testing.assert_allclose(via_lpdo, again, atol=0.0)
-
-    def test_mps_backend_runs_and_is_seeded(self):
-        inputs = np.linspace(0, 0.5, 5)
-        options = {"n_trajectories": 8, "rng": 0, "max_bond": 8}
-        first = QuantumReservoir(
-            self._osc(), method="mps", backend_options=options
-        ).run(inputs)
-        second = QuantumReservoir(
-            self._osc(), method="mps", backend_options=options
-        ).run(inputs)
-        assert first.shape == (5, 16)
-        np.testing.assert_allclose(first, second, atol=0.0)
-
-    def test_backend_method_rejects_initial_state(self):
-        reservoir = QuantumReservoir(self._osc(), method="density")
-        with pytest.raises(SimulationError):
-            reservoir.run(np.ones(3), initial=reservoir.osc.vacuum())
-
-    def test_step_circuit_cached(self):
-        reservoir = QuantumReservoir(self._osc(), method="density")
-        circuit = reservoir._step_circuit(1.0)
-        assert reservoir._step_circuit(1.0) is circuit
-        assert circuit.count_ops().get("loss", 0) == 2

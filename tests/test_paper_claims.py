@@ -17,12 +17,31 @@ from repro.hardware import (
 from repro.qaoa import optimize_qaoa, random_coloring_instance, run_ndar
 from repro.reservoir import ReservoirTomograph
 from repro.sqed import (
+    RotorChain,
     RotorLadder2D,
     RotorLattice3D,
+    compare_encodings,
     swap_network_overhead,
     trotter_circuit,
 )
 from repro.sqed.rotor2d import ladder_mode_layout
+
+
+def test_ec1_qudit_encoding_tolerates_10_to_100x_more_noise():
+    """E-C1: native qutrit encodings tolerate 10-100x higher gate error (ref [11]).
+
+    Threshold bisection (8 steps, damage tolerance 0.1) on a 3-site qutrit
+    rotor chain, qudit vs binary-qubit encoding, t = 3 in 8 Trotter steps.
+    """
+    result = compare_encodings(
+        RotorChain(n_sites=3, spin=1, g2=1.0, hopping=0.3),
+        damage_tol=0.1,
+        t_total=3.0,
+        n_steps=8,
+        bisection_steps=8,
+    )
+    assert 10.0 <= result.threshold_ratio <= 100.0, result
+    assert result.qubit_cnots_per_step > 10 * result.qudit_entangling_per_step
 
 
 def test_ec2_snap_displacement_synthesis_up_to_d8():

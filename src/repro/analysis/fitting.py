@@ -7,7 +7,6 @@ oscillation frequency of a local observable) and by reservoir diagnostics.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..core.exceptions import SimulationError
 
@@ -21,20 +20,24 @@ def dominant_frequency(times: np.ndarray, values: np.ndarray) -> float:
     around the magnitude peak for sub-bin resolution.
 
     Args:
-        times: uniformly spaced sample times (>= 4 samples).
+        times: finite, strictly increasing, uniformly spaced sample times
+            (>= 4 samples).
         values: real signal samples.
 
     Returns:
         Angular frequency ``omega > 0`` of the largest spectral peak.
 
     Raises:
-        SimulationError: on too-short or non-uniform input.
+        SimulationError: on too-short input, or on sample times that are
+            not finite, strictly increasing and uniform.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size < 4 or times.size != values.size:
         raise SimulationError("need >= 4 uniformly sampled points")
     dts = np.diff(times)
+    if not (np.isfinite(times).all() and (dts > 0).all()):
+        raise SimulationError("sample times must be finite and strictly increasing")
     if np.abs(dts - dts[0]).max() > 1e-9 * max(abs(dts[0]), 1e-30):
         raise SimulationError("samples must be uniformly spaced")
     dt = float(dts[0])
@@ -91,6 +94,8 @@ def fit_damped_cosine(
     Raises:
         SimulationError: if the optimiser fails to converge.
     """
+    from scipy.optimize import curve_fit
+
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if omega_guess is None:

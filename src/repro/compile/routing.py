@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..core.circuit import QuditCircuit
 from ..core.exceptions import CompilationError
 from ..hardware.device import CavityQPU
@@ -69,12 +67,21 @@ def route_circuit(
         the physical modes they exchange.
 
     Raises:
-        CompilationError: if a SWAP would exchange modes of unequal
+        CompilationError: if the layout does not map each wire to its own
+            device mode, or if a SWAP would exchange modes of unequal
             dimension (no dimension-changing routing is modelled).
     """
+    import networkx as nx
+
     layout = list(layout)
     if len(layout) != circuit.num_qudits:
         raise CompilationError("layout length mismatch")
+    if len(set(layout)) != len(layout) or not all(
+        0 <= mode < device.n_modes for mode in layout
+    ):
+        raise CompilationError(
+            f"layout {layout} must map wires to distinct modes of {device.name}"
+        )
     mode_of = dict(enumerate(layout))  # wire -> mode
     wire_of = {m: w for w, m in mode_of.items()}  # mode -> wire (mapped only)
 

@@ -84,12 +84,12 @@ from ..obs import metrics as _metrics
 from ..obs import profiling as _profiling
 from ..obs import tracing as _tracing
 from ..obs.ledger import RunLedger
-from ..obs.serve import ObsServer
 from .cache import MISS, ResultCache, stable_hash
 from .policy import FailurePolicy
 from .sweep import Campaign, CampaignPoint, resolve_task
 
 if TYPE_CHECKING:
+    from ..obs.serve import ObsServer
     from .faults import FaultPlan
 
 __all__ = [
@@ -1751,6 +1751,8 @@ class CampaignExecutor:
                     ) from None
         self._server: ObsServer | None = None
         if http_port is not None:
+            from ..obs.serve import ObsServer
+
             _metrics.enable()
             _tracing.enable()
             self._server = ObsServer(port=http_port).start()

@@ -17,8 +17,7 @@ Distant modes require routing (SWAP chains) — the compiler's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.exceptions import DeviceError
 from .parameters import (
@@ -27,6 +26,9 @@ from .parameters import (
     CoherenceParams,
     GateTimings,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Mode", "Cavity", "CavityQPU", "linear_cavity_array"]
 
@@ -110,6 +112,8 @@ class CavityQPU:
                 )
 
     def _build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         graph = nx.Graph()
         for idx, mode in enumerate(self.modes):
             graph.add_node(idx, mode=mode)
@@ -165,7 +169,16 @@ class CavityQPU:
         return self._graph.edges[mode_a, mode_b]["kind"]
 
     def distance(self, mode_a: int, mode_b: int) -> int:
-        """Connectivity-graph hop distance between two modes."""
+        """Connectivity-graph hop distance between two modes.
+
+        Raises:
+            DeviceError: if either mode is not on the device.
+        """
+        import networkx as nx
+
+        for mode in (mode_a, mode_b):
+            if not 0 <= mode < self.n_modes:
+                raise DeviceError(f"mode {mode} out of range")
         return nx.shortest_path_length(self._graph, mode_a, mode_b)
 
     def two_mode_duration(self, mode_a: int, mode_b: int, base: float) -> float:

@@ -13,7 +13,9 @@ without circular imports:
 - :mod:`repro.obs.profiling` — opt-in per-point :mod:`cProfile` capture
   merged across worker processes via :mod:`pstats`.
 - :mod:`repro.obs.serve` — a read-only HTTP thread exposing
-  ``/metrics``, ``/status``, and ``/spans`` for a live campaign.
+  ``/metrics``, ``/status``, and ``/spans`` for a live campaign.  It
+  loads :mod:`http.server` (and with it ``ssl`` and ``email``), so
+  ``serve`` and ``ObsServer`` are imported on first attribute access.
 - :mod:`repro.obs.ledger` — the persistent JSON-lines run ledger that
   survives the process (one record per executor run, co-located with
   the result cache).
@@ -32,9 +34,11 @@ only what gets recorded about them.
 
 from __future__ import annotations
 
+import importlib
 import os
+from typing import Any
 
-from . import ledger, metrics, profiling, serve, tracing
+from . import ledger, metrics, profiling, tracing
 from .ledger import RunLedger
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -50,7 +54,6 @@ from .metrics import (
     set_gauge,
     snapshot,
 )
-from .serve import ObsServer
 from .tracing import (
     read_jsonl,
     span,
@@ -89,6 +92,14 @@ __all__ = [
     "ObsServer",
     "RunLedger",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Import :mod:`repro.obs.serve` when ``serve`` or ``ObsServer`` is first used."""
+    if name in ("serve", "ObsServer"):
+        module = importlib.import_module(".serve", __name__)
+        return module if name == "serve" else module.ObsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def enable() -> None:

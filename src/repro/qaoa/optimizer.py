@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core.exceptions import SimulationError
 from .circuits import expected_clashes, qaoa_state
@@ -69,6 +68,8 @@ def optimize_qaoa(
     Returns:
         A :class:`QAOAResult`.
     """
+    from scipy.optimize import minimize
+
     cost_vector = problem.cost_vector()
     if permutations is not None:
         cost_vector = _remap_cost_vector(problem, cost_vector, permutations)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core.exceptions import DimensionError
 from ..core.gates import gell_mann_basis
@@ -172,6 +171,8 @@ def solve_coloring_qrac(
     Returns:
         The best :class:`QracResult` across restarts.
     """
+    from scipy.optimize import minimize
+
     encoding = QracEncoding(problem, qudit_dim)
     rng = np.random.default_rng(seed)
     dim = encoding.qudit_dim

@@ -37,6 +37,20 @@ class TestDominantFrequency:
         with pytest.raises(SimulationError):
             dominant_frequency(times, np.ones(5))
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.linspace(20, 0, 200),
+            np.full(200, 3.0),
+            np.where(np.arange(200) == 57, np.nan, np.linspace(0, 20, 200)),
+        ],
+        ids=["descending", "equal", "nan"],
+    )
+    def test_times_must_be_finite_and_increasing(self, times):
+        values = np.cos(1.3 * times)
+        with pytest.raises(SimulationError, match="strictly increasing"):
+            dominant_frequency(times, values)
+
 
 class TestDampedCosineFit:
     def test_recovers_parameters(self):

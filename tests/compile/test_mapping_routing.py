@@ -134,6 +134,14 @@ class TestRouting:
         with pytest.raises(CompilationError):
             route_circuit(chain_circuit(3), spread_device, [0, 1])
 
+    @pytest.mark.parametrize("layout", [[0, 0], [0, 7], [-1, 2]])
+    def test_layout_needs_distinct_device_modes(self, layout):
+        device = linear_cavity_array(3, 1, 3)
+        qc = QuditCircuit([3, 3])
+        qc.csum(0, 1)
+        with pytest.raises(CompilationError, match="distinct modes"):
+            route_circuit(qc, device, layout)
+
 
 class TestSwapNetwork:
     def test_layer_structure(self):

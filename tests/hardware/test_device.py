@@ -93,6 +93,12 @@ class TestLinearArray:
         assert device.distance(0, 3) == 3
         assert device.distance(0, 0) == 0
 
+    @pytest.mark.parametrize("modes", [(0, 99), (-1, 0)])
+    def test_distance_unknown_mode(self, modes):
+        device = linear_cavity_array(2, 2, 3)
+        with pytest.raises(DeviceError, match="out of range"):
+            device.distance(*modes)
+
     def test_two_mode_duration_penalty(self):
         device = linear_cavity_array(2, 2, 3)
         coloc = device.two_mode_duration(0, 1, 1e-6)

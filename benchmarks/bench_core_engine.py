@@ -16,7 +16,9 @@ simulator below:
    ``ec1_threshold`` size, 4 qubits) and the whole E-C1 comparison at
    the size of the tier-1 E-C1 claim (``tests/test_paper_claims.py``),
    with the step's agreement with the operator-by-operator
-   ``apply_kraus`` loop and its compiled-op count.
+   ``apply_kraus`` loop and its compiled-op count, and the time to bind
+   the step at an epsilon not seen before and run it once (what each
+   new E-C1 point pays on top of its noisy steps).
    Given ``--parent-src DIR`` (the ``src`` directory of another checkout,
    e.g. extracted by ``git archive <rev> | tar -x -C <dir>``), the same timings
    run against that tree too, each side in a fresh interpreter.
@@ -247,18 +249,32 @@ def _noisy_qubit_step() -> tuple[QubitEncoding, QuditCircuit]:
     return encoding, insert_depolarizing_noise(step, encoding, 0.01)
 
 
+def _best_ms(run, repeats: int) -> float:
+    """Best of ``repeats`` timed calls of ``run(i)``, in ms."""
+    best = float("inf")
+    for i in range(repeats):
+        start = time.perf_counter()
+        run(i)
+        best = min(best, time.perf_counter() - start)
+    return round(best * 1e3, 3)
+
+
 def _ec1_timings(step_repeats: int, ec1_bench: bool) -> dict:
     """Time the noisy step and (optionally) E-C1 with the public API only,
     so the same code can time another checkout's library."""
     encoding, step = _noisy_qubit_step()
     rho = DensityMatrix.basis(encoding.dims, encoding.product_state_digits([1, 0]))
     rho.evolve(step)  # compile and warm the plan
-    best = float("inf")
-    for _ in range(step_repeats):
-        start = time.perf_counter()
-        rho.evolve(step)
-        best = min(best, time.perf_counter() - start)
-    out = {"step_ms": round(best * 1e3, 3)}
+    clean = encoding.trotter_step(3.0)
+
+    def bind_and_evolve(i: int) -> None:
+        # a fresh epsilon each time, so nothing per-epsilon is cached
+        rho.evolve(insert_depolarizing_noise(clean, encoding, 0.01 + 1e-5 * (i + 1)))
+
+    out = {
+        "step_ms": _best_ms(lambda i: rho.evolve(step), step_repeats),
+        "bind_evolve_ms": _best_ms(bind_and_evolve, step_repeats),
+    }
     if ec1_bench:
         start = time.perf_counter()
         result = compare_encodings(
@@ -321,6 +337,8 @@ def _bench_ec1_density(
             "max_error_vs_apply_kraus": error,
             "change_ms": change["step_ms"],
             "parent_ms": parent["step_ms"] if parent else None,
+            "change_bind_evolve_ms": change["bind_evolve_ms"],
+            "parent_bind_evolve_ms": parent["bind_evolve_ms"] if parent else None,
         }
     }
     if ec1_bench:

@@ -643,6 +643,7 @@ def run_benchmarks(
     obs_repeats: int = 5,
     autopilot_points: int = 16,
     autopilot_target: float = 1e-6,
+    autopilot_steps: int = 2,
     workers: int = 8,
     calibration_scale: int = 2,
     cache_dir: Path | str | None = None,
@@ -663,8 +664,10 @@ def run_benchmarks(
         obs_qudits, obs_gate_loops, obs_repeats: observability-overhead
             section size (CPU-bound gate-apply workload, paired with
             an uninstrumented reference).
-        autopilot_points, autopilot_target: autopilot-vs-hand-tuned
-            section size (same damage task as the acceptance campaign).
+        autopilot_points, autopilot_target, autopilot_steps:
+            autopilot-vs-hand-tuned section size (the acceptance
+            campaign's damage task on ``sqed_sites``, with its own step
+            count: each hand-tuned LPDO configuration runs every step).
         workers: pool width for the parallel sections.
         calibration_scale: probe-size multiplier for the calibration.
         cache_dir: where the replay cache lives (a temp dir if omitted).
@@ -687,7 +690,7 @@ def run_benchmarks(
     )
     obs_overhead = bench_obs_overhead(obs_qudits, obs_gate_loops, obs_repeats)
     autopilot = bench_autopilot(
-        autopilot_points, sqed_sites, sqed_steps, autopilot_target
+        autopilot_points, sqed_sites, autopilot_steps, autopilot_target
     )
     if cache_dir is None:
         with tempfile.TemporaryDirectory() as tmp:

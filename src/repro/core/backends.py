@@ -444,7 +444,7 @@ class MPSBackend(SimulationBackend):
     ) -> MPSResult:
         if n_trajectories < 1:
             raise SimulationError("need at least one trajectory")
-        stochastic = any(ins.kind in ("channel", "reset") for ins in circuit)
+        stochastic = circuit.is_noisy()
         if isinstance(initial, MPSResult):
             # Stepwise continuation stays on the result's generator (a
             # per-call integer seed would identically replay each step).

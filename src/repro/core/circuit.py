@@ -15,13 +15,16 @@ Instructions fall into three kinds:
 
 :meth:`QuditCircuit.plan` compiles the instruction list into the
 :class:`PlanStep` sequence that the dense engines (statevector, density
-matrix, trajectories) all run.
+matrix, trajectories) all run.  :meth:`QuditCircuit.noise_template` puts
+uniform depolarising noise on a circuit once, as a
+:class:`DepolarizingTemplate`; its :meth:`~DepolarizingTemplate.bind`
+gives the :class:`NoisyCircuit` at one per-gate strength.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -30,10 +33,16 @@ import numpy as np
 from . import gates
 from .channels import QuditChannel, depolarizing
 from .dims import total_dim, validate_dims
-from .exceptions import CircuitError
+from .exceptions import CircuitError, DimensionError
 from .structure import DIAGONAL, GateStructure, broadcast_over_targets, intern_structure
 
-__all__ = ["Instruction", "PlanStep", "QuditCircuit"]
+__all__ = [
+    "DepolarizingTemplate",
+    "Instruction",
+    "NoisyCircuit",
+    "PlanStep",
+    "QuditCircuit",
+]
 
 #: Instruction kinds understood by the simulators.
 _KINDS = ("unitary", "channel", "measure", "reset")
@@ -587,6 +596,26 @@ class QuditCircuit:
         self._fingerprint = (self._version, digest)
         return digest
 
+    def noise_template(
+        self, equivalents: Callable[[str], int], single_gate_fraction: float
+    ) -> "DepolarizingTemplate":
+        """This circuit's :class:`DepolarizingTemplate`, memoised per mutation.
+
+        The memo holds the template of the last ``(equivalents,
+        single_gate_fraction)`` asked for, so it stays one template per
+        circuit.
+        """
+        key = (self._version, equivalents, single_gate_fraction)
+        cached = getattr(self, "_noise_template", None)
+        if cached is None or cached[0] != key:
+            template = DepolarizingTemplate(self, equivalents, single_gate_fraction)
+            cached = self._noise_template = (key, template)
+        return cached[1]
+
+    def is_noisy(self) -> bool:
+        """True when the circuit carries channel or reset instructions."""
+        return any(ins.kind in ("channel", "reset") for ins in self._instructions)
+
     def count_ops(self) -> dict[str, int]:
         """Histogram of instruction names."""
         out: dict[str, int] = {}
@@ -652,3 +681,145 @@ class QuditCircuit:
                 pair = tuple(sorted(instruction.qudits))
                 out[pair] = out.get(pair, 0) + 1
         return out
+
+
+class DepolarizingTemplate:
+    """Uniform depolarising noise on a clean circuit, built once per circuit.
+
+    The noise model stays apart from the circuit it instruments, as
+    qibo's ``NoiseModel`` does: every unitary is followed by a *slot* on
+    its wires.  A slot after a gate worth ``k > 0`` entangling-equivalents
+    (``equivalents(name)``) takes ``p = 1 − (1 − ε)^k``; a slot after any
+    other gate takes ``single_gate_fraction · ε`` (with a zero fraction
+    those gates get no slot).  :meth:`bind` gives the circuit with the
+    :func:`~repro.core.channels.depolarizing` channel of each slot whose
+    ``p`` is positive right after its gate.
+
+    :attr:`skeleton` is the clean circuit with an identity-channel
+    placeholder in every slot, so the noisy circuit's shape is planned
+    once; the density engine compiles that plan once and binds only the
+    strengths per ``ε`` (:mod:`repro.core.density`).
+    """
+
+    def __init__(
+        self,
+        circuit: QuditCircuit,
+        equivalents: Callable[[str], int],
+        single_gate_fraction: float,
+    ) -> None:
+        self.circuit = circuit
+        self.single_gate_fraction = single_gate_fraction
+        self.skeleton = QuditCircuit(circuit.dims, name=circuit.name + "+depol")
+        # (wires, k) -> placeholder, and id(placeholder) -> (k, target dim)
+        placeholders: dict[tuple, Instruction] = {}
+        self._slots: dict[int, tuple[int, int]] = {}
+        #: how many slots hold each ``k`` (0: the single-gate slots)
+        self.counts: dict[int, int] = {}
+        for ins in circuit:
+            self.skeleton.append(ins)
+            if ins.kind != "unitary":
+                continue
+            k = max(equivalents(ins.name), 0)
+            if k == 0 and not single_gate_fraction > 0:
+                continue
+            slot = placeholders.get((ins.qudits, k))
+            if slot is None:
+                dim = self.skeleton._target_dim(ins.qudits)
+                identity = (np.eye(dim, dtype=complex),)
+                slot = Instruction("depol", "channel", ins.qudits, kraus=identity)
+                placeholders[(ins.qudits, k)] = slot
+                self._slots[id(slot)] = (k, dim)
+            self.skeleton.append(slot)
+            self.counts[k] = self.counts.get(k, 0) + 1
+        #: data an engine derives from the template (the density compile)
+        self.cache: dict = {}
+
+    def slot(self, instruction: Instruction) -> tuple[int, int] | None:
+        """``(k, target dim)`` of a :attr:`skeleton` placeholder, else ``None``."""
+        return self._slots.get(id(instruction))
+
+    def bind(self, epsilon: float) -> "NoisyCircuit":
+        """The noisy circuit at per-entangling-gate probability ``epsilon``.
+
+        Raises:
+            DimensionError: for ``epsilon`` outside ``[0, 1]``.
+        """
+        if not 0.0 <= epsilon <= 1.0:
+            raise DimensionError(f"epsilon={epsilon} outside [0, 1]")
+        fraction = self.single_gate_fraction
+        strengths = {
+            k: 1.0 - (1.0 - epsilon) ** k if k > 0 else fraction * epsilon
+            for k in self.counts
+        }
+        return NoisyCircuit(self, strengths)
+
+    def instructions(self, strengths: dict[int, float]) -> list[Instruction]:
+        """The skeleton with each slot's channel at ``strengths[k]``, or
+        without the slot where that ``p`` is 0."""
+        out: list[Instruction] = []
+        channels: dict[int, Instruction] = {}  # one per placeholder
+        for ins in self.skeleton:
+            slot = self._slots.get(id(ins))
+            if slot is None:
+                out.append(ins)
+                continue
+            k, dim = slot
+            p = strengths[k]
+            if p > 0:
+                if id(ins) not in channels:
+                    family = depolarizing(dim, p)
+                    channels[id(ins)] = Instruction(
+                        "depol",
+                        "channel",
+                        ins.qudits,
+                        kraus=family.kraus,
+                        depolarizing_p=family.depolarizing_p,
+                    )
+                out.append(channels[id(ins)])
+        return out
+
+
+class NoisyCircuit(QuditCircuit):
+    """A :class:`DepolarizingTemplate` bound at one strength per slot kind.
+
+    An ordinary circuit to every engine, except that its instruction list
+    is built on first use.  While it is unchanged and every slot holds a
+    channel (:meth:`fills_template`), the density engine runs the
+    template's compiled plan bound at :attr:`strengths` and never builds
+    the list, so no depolarising Kraus family is formed.
+    """
+
+    def __init__(self, template: DepolarizingTemplate, strengths: dict[int, float]):
+        super().__init__(template.circuit.dims, name=template.skeleton.name)
+        self._listed: list[Instruction] | None = None  # built on first use
+        self.template = template
+        #: each slot kind's probability ``p``, by equivalents ``k``
+        self.strengths = strengths
+        #: data an engine derives from the bound circuit (the density ops)
+        self.cache: dict = {}
+
+    @property  # type: ignore[override]
+    def _instructions(self) -> list[Instruction]:
+        if self._listed is None:
+            self._listed = self.template.instructions(self.strengths)
+        return self._listed
+
+    @_instructions.setter
+    def _instructions(self, value: list[Instruction]) -> None:
+        self._listed = value
+
+    def __len__(self) -> int:
+        if self._listed is not None:
+            return len(self._listed)
+        counts = self.template.counts
+        filled = sum(n for k, n in counts.items() if self.strengths[k] > 0)
+        return len(self.template.circuit) + filled
+
+    def fills_template(self) -> bool:
+        """True while this is the skeleton with a channel in every slot."""
+        return self._version == 0 and all(p > 0 for p in self.strengths.values())
+
+    def is_noisy(self) -> bool:
+        if self._listed is None and len(self) > len(self.template.circuit):
+            return True
+        return super().is_noisy()

@@ -35,6 +35,14 @@ target levels has ``d_S⁴`` entries, so targets wider than
 :data:`_SUPEROP_MAX_DIM` levels apply their operators to the ket and bra
 legs in turn instead.  :meth:`DensityMatrix.apply_kraus` stays the
 operator-by-operator reference the tests compare against.
+
+What fuses and merges depends on kinds and wires only, never on a
+depolarising probability: the compile keeps a fused op's ``U ⊗ Ū`` and
+twirl, and :func:`_bind` forms ``(1 − λ)`` and ``λ`` parts and the merged
+products in compile order once the probabilities are known.  So a
+:class:`~repro.core.circuit.NoisyCircuit` (a noise template bound at one
+strength) runs its template's plan, compiled once, and only the binding
+is redone per strength, to the same floats as compiling its own plan.
 Memory is ``O(D²)``, so this backend is for small registers; larger noisy
 circuits use :mod:`repro.core.trajectories`.
 """
@@ -51,7 +59,7 @@ import numpy as np
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
 from .channels import QuditChannel
-from .circuit import Instruction, PlanStep, QuditCircuit
+from .circuit import Instruction, NoisyCircuit, PlanStep, QuditCircuit
 from .dims import (
     digits_to_index,
     index_to_digits,
@@ -242,29 +250,99 @@ def _sandwich(
 
 
 class _Op:
-    """One compiled op on the doubled register: a plan step, or several
+    """One runnable op on the doubled register: a plan step, or several
     fused or merged into one.
 
     ``kernel(state, *args)`` returns the new state.  ``events`` are the
     ``(event, kind, fields)`` telemetry records of the instructions it
     runs — one per instruction, fused or not.  ``wires`` are the wires it
-    touches, ascending.  A superoperator op keeps ``local = (matrix,
-    structure)`` on those wires so that other ops can merge with it.
+    touches, ascending.
     """
 
-    __slots__ = ("kernel", "args", "events", "wires", "local")
+    __slots__ = ("kernel", "args", "events", "wires")
 
     def __init__(
-        self, kernel, args: tuple, events: tuple, wires: tuple[int, ...], local=None
+        self, kernel, args: tuple, events: tuple, wires: tuple[int, ...]
     ) -> None:
         self.kernel = kernel
         self.args = args
         self.events = events
         self.wires = wires
-        self.local = local
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         return self.kernel(state, *self.args)
+
+    def bind(self, strengths, dims, formed) -> "_Op":
+        """Nothing to bind: no depolarising probability enters this op."""
+        return self
+
+
+class _Depolarizing:
+    """A closed-form depolarising channel awaiting its probability.
+
+    ``key`` names the probability (see :func:`_probability`); ``shape``
+    and ``diagonal`` are :func:`_diagonal_indices` of its ``d_s`` target
+    levels.
+    """
+
+    __slots__ = ("key", "d_s", "shape", "diagonal", "events", "wires")
+
+    def __init__(self, key, d_s: int, shape, diagonal, events, wires) -> None:
+        self.key, self.d_s = key, d_s
+        self.shape, self.diagonal = shape, diagonal
+        self.events, self.wires = events, wires
+
+    def bind(self, strengths, dims, formed) -> _Op:
+        lam = _depolarizing_lambda(_probability(self.key, strengths), self.d_s)
+        args = (lam, self.shape, self.diagonal)
+        return _Op(_depolarize, args, self.events, self.wires)
+
+
+class _Super:
+    """A superoperator on ascending ``wires``, as the plan compiles it.
+
+    ``form`` says how its matrix and structure come about:
+    ``("const", matrix, structure)`` is known at compile time;
+    ``("fuse", L, T, key, d_s)`` is a unitary's ``L = U ⊗ Ū`` fused with
+    the depolarising channel after it, ``(1 − λ) L + λ T``; and
+    ``("merge", first, second)`` is ``second ∘ first`` of two superoperators
+    of which one at least is not constant.  The last two are formed when
+    the probabilities are bound (:func:`_bind`).  Other superoperators
+    merge with this one (:func:`_merged`).
+    """
+
+    __slots__ = ("form", "events", "wires")
+
+    def __init__(self, form: tuple, events: tuple, wires: tuple[int, ...]) -> None:
+        self.form = form
+        self.events = events
+        self.wires = wires
+
+    def local(self, formed: dict) -> tuple[np.ndarray, GateStructure]:
+        """Matrix and structure, from ``formed`` unless constant."""
+        return self.form[1:3] if self.form[0] == "const" else formed[self]
+
+    def evaluate(self, strengths, dims, formed) -> tuple[np.ndarray, GateStructure]:
+        """The matrix and structure of a fused or merged form, its parts in
+        ``formed``.  Both are dense: a fused matrix is, and so is any
+        product with one."""
+        if self.form[0] == "fuse":
+            _, liouville, twirl, key, d_s = self.form
+            lam = _depolarizing_lambda(_probability(key, strengths), d_s)
+            matrix = (1.0 - lam) * liouville + lam * twirl
+            return matrix, GateStructure(kind=DENSE, matrix=matrix)
+        _, first, second = self.form
+        return _product(first, second, self.wires, dims, formed)
+
+    def bind(self, strengths, dims, formed) -> _Op:
+        matrix, structure = self.local(formed)
+        return _superop_op(matrix, structure, dims, self.wires, self.events)
+
+
+def _probability(key, strengths: dict[int, float] | None) -> float:
+    """A depolarising probability: ``key`` itself, or for a template slot
+    ``("slot", k)`` the bound ``strengths[k]``."""
+    return strengths[key[1]] if isinstance(key, tuple) else key
 
 
 def _kind(structures: Iterable[GateStructure]) -> str:
@@ -291,18 +369,17 @@ def _superop_op(
     """
     doubled = tuple(d * d for d in dims)
     lo, hi = wires[0], wires[-1]
-    local = (matrix, structure)
     if structure.kind != DENSE or hi - lo + 1 != len(wires):
         generic = (matrix, doubled, wires, structure)
-        return _Op(apply_matrix, generic, events, wires, local)
+        return _Op(apply_matrix, generic, events, wires)
     before = math.prod(doubled[:lo])
     after = math.prod(doubled[hi + 1 :])
     block = matrix.shape[0]
     if block * after <= _FOLD_MAX_DIM:
         folded = _kron(matrix, np.eye(after)).T.copy()
         trailing = (folded, (before, block * after))
-        return _Op(_right_matmul, trailing, events, wires, local)
-    return _Op(_matmul, (matrix, (before, block, after)), events, wires, local)
+        return _Op(_right_matmul, trailing, events, wires)
+    return _Op(_matmul, (matrix, (before, block, after)), events, wires)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -326,26 +403,41 @@ def _embed(
     return _kron(np.eye(dims[block[0]] ** 2), matrix)
 
 
-def _merged(first: _Op, second: _Op, dims: tuple[int, ...]) -> _Op | None:
+def _product(
+    first: _Super,
+    second: _Super,
+    wires: tuple[int, ...],
+    dims: tuple[int, ...],
+    formed: dict,
+) -> tuple[np.ndarray, GateStructure]:
+    """``second ∘ first`` on ``wires``: dense if either is, else classified."""
+    (m1, s1), (m2, s2) = first.local(formed), second.local(formed)
+    left = _embed(m2, second.wires, wires, dims)
+    matrix = left @ _embed(m1, first.wires, wires, dims)
+    if DENSE in (s1.kind, s2.kind):
+        return matrix, GateStructure(kind=DENSE, matrix=matrix)
+    return matrix, classify_gate(matrix)
+
+
+def _merged(first, second, dims: tuple[int, ...]) -> _Super | None:
     """``second ∘ first`` as one superoperator, when that is cheap.
 
     Only when both are superoperators, one's wires hold the other's, and
-    the larger spans at most :data:`_MERGE_MAX_DIM` levels.
+    the larger spans at most :data:`_MERGE_MAX_DIM` levels.  Two constant
+    ones multiply now; otherwise the product waits for :func:`_bind`.
     """
-    if first.local is None or second.local is None:
+    if not (isinstance(first, _Super) and isinstance(second, _Super)):
         return None
-    (m1, s1), (m2, s2) = first.local, second.local
     w1, w2 = first.wires, second.wires
     wires = w1 if set(w2) <= set(w1) else w2 if set(w1) <= set(w2) else None
     if wires is None or math.prod(dims[w] for w in wires) > _MERGE_MAX_DIM:
         return None
-    matrix = _embed(m2, w2, wires, dims) @ _embed(m1, w1, wires, dims)
-    if DENSE in (s1.kind, s2.kind):
-        structure = GateStructure(kind=DENSE, matrix=matrix)
+    events = first.events + second.events
+    if first.form[0] == second.form[0] == "const":
+        form = ("const", *_product(first, second, wires, dims, {}))
     else:
-        structure = classify_gate(matrix)
-    # no kernel yet: most merges are merged again before the plan is done
-    return _Op(None, (), first.events + second.events, wires, (matrix, structure))
+        form = ("merge", first, second)
+    return _Super(form, events, wires)
 
 
 def _kraus_op(
@@ -382,28 +474,31 @@ def _unitary_liouville(
     return cached
 
 
+#: A depolarising channel as the compile sees it: ``(key, Kraus count)``,
+#: ``key`` naming its probability (see :func:`_probability`).
+_Noise = tuple[object, int]
+
+
 def _unitary_op(
     structure: GateStructure,
     targets: tuple[int, ...],
     dims: tuple[int, ...],
-    noise: tuple[float, int] | None = None,
-) -> _Op:
-    """A unitary's op, fused with the depolarising channel ``noise = (p,
-    Kraus count)`` after it when given."""
+    noise: _Noise | None = None,
+) -> _Op | _Super:
+    """A unitary's op, fused with the depolarising channel ``noise`` after
+    it when given."""
     events: tuple = (("gate", structure.kind, {"kraus": 1}),)
     if structure.dim > _SUPEROP_MAX_DIM:
         return _kraus_op([structure.matrix], dims, targets, events)
     liouville = _unitary_liouville(structure, targets, dims)
     wires = tuple(sorted(targets))
     if noise is None:
-        return _superop_op(liouville.matrix, liouville, dims, wires, events)
-    p, n_kraus = noise
-    lam = _depolarizing_lambda(p, structure.dim)
+        return _Super(("const", liouville.matrix, liouville), events, wires)
+    key, n_kraus = noise
     events += (("channel", "depolarizing", {"kraus": n_kraus}),)
     twirl = _twirl(tuple(dims[w] for w in wires))
-    matrix = (1.0 - lam) * liouville.matrix + lam * twirl
-    dense = GateStructure(kind=DENSE, matrix=matrix)
-    return _superop_op(matrix, dense, dims, wires, events)
+    form = ("fuse", liouville.matrix, twirl, key, structure.dim)
+    return _Super(form, events, wires)
 
 
 def _depolarizing_lambda(p: float, d_s: int) -> float:
@@ -411,18 +506,24 @@ def _depolarizing_lambda(p: float, d_s: int) -> float:
     return p * d_s * d_s / (d_s * d_s - 1)
 
 
+def _own_noise(ins: Instruction) -> _Noise | None:
+    """A depolarising channel's own probability and Kraus count."""
+    p = ins.depolarizing_p
+    return None if p is None else (p, len(ins.kraus))
+
+
 def _noise_after(
-    ins: Instruction, follower: PlanStep | None
-) -> tuple[float, int] | None:
-    """``(p, Kraus count)`` of a depolarising channel right after a unitary
-    on the same wires, if the next plan step is one."""
+    ins: Instruction, follower: PlanStep | None, noise_of
+) -> _Noise | None:
+    """The depolarising channel right after a unitary on the same wires,
+    if the next plan step is one."""
     channel = None if follower is None else follower.instruction
     if channel is None or channel.kind != "channel" or channel.kraus is None:
         return None
-    p = channel.depolarizing_p
-    if p is None or set(channel.qudits) != set(ins.qudits):
+    noise = noise_of(channel)
+    if noise is None or set(channel.qudits) != set(ins.qudits):
         return None
-    return p, len(channel.kraus)
+    return noise
 
 
 def _fusable(
@@ -435,20 +536,22 @@ def _fusable(
     return dense or structure.dim <= _MERGE_MAX_DIM
 
 
-def _channel_op(ins: Instruction, dims: tuple[int, ...]) -> _Op:
-    """A channel's op: closed form for depolarising, else its superoperator."""
+def _channel_op(
+    ins: Instruction, dims: tuple[int, ...], noise: _Noise | None
+) -> _Op | _Super | _Depolarizing:
+    """A channel's op: closed form for depolarising noise, else its
+    superoperator."""
     targets = ins.qudits
     d_s = math.prod(dims[t] for t in targets)
-    p = ins.depolarizing_p
     kraus = ins.kraus or ()
-    fields = {"kraus": len(kraus)}
-    if p is not None:
-        events = (("channel", "depolarizing", fields),)
+    if noise is not None:
+        key, n_kraus = noise
+        events = (("channel", "depolarizing", {"kraus": n_kraus}),)
         wires = tuple(sorted(targets))
         shape, diagonal = _diagonal_indices(dims, wires)
-        lam = _depolarizing_lambda(p, d_s)
-        return _Op(_depolarize, (lam, shape, diagonal), events, wires)
-    events = (("channel", _kind(ins.kraus_structures() or ()), fields),)
+        return _Depolarizing(key, d_s, shape, diagonal, events, wires)
+    kind = _kind(ins.kraus_structures() or ())
+    events = (("channel", kind, {"kraus": len(kraus)}),)
     return _family_op(kraus, dims, targets, events)
 
 
@@ -457,17 +560,17 @@ def _family_op(
     dims: tuple[int, ...],
     targets: tuple[int, ...],
     events: tuple,
-) -> _Op:
+) -> _Op | _Super:
     """A Kraus family as its superoperator, or operator by operator if wide."""
     gate_dims = tuple(dims[t] for t in targets)
     if math.prod(gate_dims) > _SUPEROP_MAX_DIM:
         return _kraus_op(kraus, dims, targets, events)
     matrix = _liouville(kraus, gate_dims, _ascending(targets))
     wires = tuple(sorted(targets))
-    return _superop_op(matrix, classify_gate(matrix), dims, wires, events)
+    return _Super(("const", matrix, classify_gate(matrix)), events, wires)
 
 
-def _reset_op(wire: int, dims: tuple[int, ...]) -> _Op:
+def _reset_op(wire: int, dims: tuple[int, ...]) -> _Op | _Super:
     """Trace the wire out and re-prepare it in ``|0⟩``: Kraus ops ``|0⟩⟨k|``."""
     d = dims[wire]
     kraus = np.zeros((d, d, d), dtype=complex)
@@ -484,14 +587,25 @@ def _diagonal_op(diagonal: np.ndarray, dims: tuple[int, ...]) -> _Op:
     return _Op(np.multiply, (factor,), events, tuple(range(len(dims))))
 
 
-def _step_ops(plan: Sequence[PlanStep], dims: tuple[int, ...]) -> list[tuple[int, _Op]]:
+#: A compiled plan before its probabilities are bound: each op with the
+#: index of its first plan step, and the superoperators formed per bind
+#: in the order they were made (so each one's parts come first).
+_Compiled = tuple[list[tuple[int, object]], list[_Super]]
+
+
+def _step_ops(
+    plan: Sequence[PlanStep], dims: tuple[int, ...], noise_of=_own_noise
+) -> _Compiled:
     """The plan's ops in order, each with the index of its first step.
 
     A unitary fuses with the depolarising channel after it, and ops that
     :func:`_merged` accepts become one.  A Trotter step repeats each
     gate-and-noise pair many times, so equal steps share one op.
+    ``noise_of(channel)`` says which channels are depolarising and where
+    their probabilities come from; nothing here depends on their values.
     """
-    ops: list[tuple[int, _Op]] = []
+    ops: list[tuple[int, object]] = []
+    deferred: list[_Super] = []
     # Equal structures and Kraus tuples are one object across the plan.
     shared: dict = {}
     skip = False
@@ -506,20 +620,23 @@ def _step_ops(plan: Sequence[PlanStep], dims: tuple[int, ...]) -> list[tuple[int
         elif step.kind == "reset":
             op = _reset_op(ins.qudits[0], dims)
         elif step.kind == "channel":
-            key = ("channel", id(ins.kraus), ins.qudits, ins.depolarizing_p)
+            noise = noise_of(ins)
+            key = ("channel", id(ins.kraus), ins.qudits, noise)
             if key not in shared:
-                shared[key] = _channel_op(ins, dims)
+                shared[key] = _channel_op(ins, dims, noise)
             op = shared[key]
         else:
             structure = ins.structure()
             assert structure is not None  # every unitary has one
             follower = plan[i + 1] if i + 1 < len(plan) else None
-            noise = _noise_after(ins, follower)
+            noise = _noise_after(ins, follower, noise_of)
             key = ("unitary", id(structure), ins.qudits, noise)
             if key not in shared:
                 fuse = noise is not None and _fusable(structure, ins.qudits, dims)
                 op = _unitary_op(structure, ins.qudits, dims, noise if fuse else None)
                 shared[key] = (op, fuse)
+                if fuse:
+                    deferred.append(op)
             op, skip = shared[key]
         # Move back past ops on other wires (they commute) and merge into
         # the first op that shares a wire, while _merged accepts the pair.
@@ -531,7 +648,9 @@ def _step_ops(plan: Sequence[PlanStep], dims: tuple[int, ...]) -> list[tuple[int
                 continue
             key = ("merged", earlier, op)  # keeps both alive while shared
             if key not in shared:
-                shared[key] = _merged(earlier, op, dims)
+                merged = shared[key] = _merged(earlier, op, dims)
+                if merged is not None and merged.form[0] == "merge":
+                    deferred.append(merged)
             if shared[key] is None:
                 break
             ops[j] = (first, shared[key])
@@ -541,7 +660,31 @@ def _step_ops(plan: Sequence[PlanStep], dims: tuple[int, ...]) -> list[tuple[int
             place = j
         if place == len(ops):
             ops.append((i, op))
-    return ops
+    return ops, deferred
+
+
+def _bind(
+    compiled: _Compiled,
+    dims: tuple[int, ...],
+    strengths: dict[int, float] | None = None,
+) -> list[tuple[int, _Op]]:
+    """The runnable ops of a compiled plan at the given probabilities.
+
+    Fused and merged matrices are formed in the order the compile made
+    them, from the same operands, so they are the floats an eager compile
+    of the same noisy plan gives.  An op at several places binds once.
+    """
+    ops, deferred = compiled
+    formed: dict = {}
+    for node in deferred:
+        formed[node] = node.evaluate(strengths, dims, formed)
+    bound: dict = {}
+    out = []
+    for first, op in ops:
+        if op not in bound:
+            bound[op] = op.bind(strengths, dims, formed)
+        out.append((first, bound[op]))
+    return out
 
 
 def _compiled(plan: Sequence[PlanStep], dims: tuple[int, ...]) -> list[_Op]:
@@ -551,17 +694,35 @@ def _compiled(plan: Sequence[PlanStep], dims: tuple[int, ...]) -> list[_Op]:
     runs; a step folded into an earlier op has no entry.
     """
     if plan and "density" not in plan[0].cache:
-        kernels: dict = {}
-        for first, op in _step_ops(plan, dims):
-            if op.kernel is None:  # a merged op, possibly at several places
-                if op not in kernels:
-                    matrix, structure = op.local
-                    kernels[op] = _superop_op(
-                        matrix, structure, dims, op.wires, op.events
-                    )
-                op = kernels[op]
+        for first, op in _bind(_step_ops(plan, dims), dims):
             plan[first].cache["density"] = op
     return [step.cache["density"] for step in plan if "density" in step.cache]
+
+
+def _template_ops(circuit: NoisyCircuit, dims: tuple[int, ...]) -> list[_Op]:
+    """A bound noise template's ops, kept on the circuit.
+
+    The template's skeleton plan compiles once, with each slot's channel
+    keyed ``("slot", k)``; each bound circuit only binds its strengths.
+    """
+    ops = circuit.cache.get("density")
+    if ops is None:
+        template = circuit.template
+        compiled = template.cache.get("density")
+        if compiled is None:
+
+            def noise_of(ins: Instruction) -> _Noise | None:
+                slot = template.slot(ins)
+                if slot is None:
+                    return _own_noise(ins)
+                k, d_s = slot
+                return ("slot", k), d_s * d_s
+
+            plan = template.skeleton.plan()
+            compiled = template.cache["density"] = _step_ops(plan, dims, noise_of)
+        bound = _bind(compiled, dims, circuit.strengths)
+        ops = circuit.cache["density"] = [op for _, op in bound]
+    return ops
 
 
 def _run(op: _Op, state: np.ndarray) -> np.ndarray:
@@ -680,7 +841,8 @@ class DensityMatrix:
             kraus=channel.kraus,
             depolarizing_p=channel.depolarizing_p,
         )
-        state = _run(_channel_op(ins, self.dims), _interleave(self._matrix, self.dims))
+        op = _channel_op(ins, self.dims, _own_noise(ins)).bind(None, self.dims, {})
+        state = _run(op, _interleave(self._matrix, self.dims))
         return DensityMatrix(_deinterleave(state, self.dims), self.dims)
 
     def evolve(self, circuit: QuditCircuit) -> "DensityMatrix":
@@ -696,8 +858,12 @@ class DensityMatrix:
             raise DimensionError(
                 f"circuit dims {circuit.dims} != state dims {self.dims}"
             )
+        if isinstance(circuit, NoisyCircuit) and circuit.fills_template():
+            ops = _template_ops(circuit, self.dims)
+        else:
+            ops = _compiled(circuit.plan(), self.dims)
         state = _interleave(self._matrix, self.dims)
-        for op in _compiled(circuit.plan(), self.dims):
+        for op in ops:
             state = _run(op, state)
         return DensityMatrix(_deinterleave(state, self.dims), self.dims)
 

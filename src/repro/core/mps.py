@@ -213,7 +213,7 @@ class MPSState(TensorTrainState):
                 global generator from :mod:`repro.core.rng`).
         """
         gen = None
-        if any(ins.kind in ("channel", "reset") for ins in circuit):
+        if circuit.is_noisy():
             gen = ensure_rng(rng)
         return self._run(circuit, gen)
 

@@ -259,7 +259,7 @@ def _plan_keywords() -> tuple[str, ...]:
 
 def circuit_is_noisy(circuit: QuditCircuit) -> bool:
     """True when the circuit carries channel or reset instructions."""
-    return any(ins.kind in ("channel", "reset") for ins in circuit)
+    return circuit.is_noisy()
 
 
 def _structure(circuit: QuditCircuit) -> tuple[int, int]:

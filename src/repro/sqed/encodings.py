@@ -44,6 +44,14 @@ class _RotorEncoding:
 
     def __init__(self, chain: RotorChain) -> None:
         self.chain = chain
+        self._step_cache: dict[float, QuditCircuit] = {}
+
+    def _step(self, dt: float) -> QuditCircuit:
+        """The subclass's ``_build_step(dt)``, built once (never mutate it)."""
+        step = self._step_cache.get(dt)
+        if step is None:
+            step = self._step_cache[dt] = self._build_step(dt)
+        return step
 
     def _site_wires(self, site: int) -> tuple[int, ...]:
         """Wire indices holding one rotor site."""
@@ -126,7 +134,10 @@ class QuditEncoding(_RotorEncoding):
         return self.chain.dims
 
     def trotter_step(self, dt: float) -> QuditCircuit:
-        """First-order Trotter step circuit."""
+        """First-order Trotter step circuit (built once per ``dt``)."""
+        return self._step(dt)
+
+    def _build_step(self, dt: float) -> QuditCircuit:
         qc = QuditCircuit(self.dims, name="rotor-qudit-step")
         for term in self.chain.terms():
             gate = expm(-1j * dt * term.operator)
@@ -167,7 +178,6 @@ class QubitEncoding(_RotorEncoding):
         super().__init__(chain)
         self.qubits_per_site = max(1, math.ceil(math.log2(chain.site_dim)))
         self.n_qubits = self.qubits_per_site * chain.n_sites
-        self._step_cache: dict[float, tuple[QuditCircuit, int]] = {}
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -212,27 +222,22 @@ class QubitEncoding(_RotorEncoding):
     # circuits
     # ------------------------------------------------------------------
     def trotter_step(self, dt: float) -> QuditCircuit:
-        """First-order Trotter step over the qubit register."""
-        return self._build_step(dt)[0]
+        """First-order Trotter step over the qubits (built once per ``dt``)."""
+        return self._step(dt)
 
     def cnots_per_step(self, dt: float = 0.1) -> int:
         """CNOT count of one Trotter step (independent of dt)."""
-        return self._build_step(dt)[1]
+        return self._step(dt).count_ops().get("cnot", 0)
 
-    def _build_step(self, dt: float) -> tuple[QuditCircuit, int]:
-        cached = self._step_cache.get(dt)
-        if cached is not None:
-            return cached
+    def _build_step(self, dt: float) -> QuditCircuit:
         qc = QuditCircuit(self.dims, name="rotor-qubit-step")
-        n_cnots = 0
         for term in self.chain.terms():
             qubits: list[int] = []
             for site in term.sites:
                 qubits.extend(self.site_qubits(site))
             for pauli in self.pauli_terms_for(term.operator, term.n_sites):
-                n_cnots += pauli_rotation_circuit(qc, pauli, dt, qubits)
-        self._step_cache[dt] = (qc, n_cnots)
-        return qc, n_cnots
+                pauli_rotation_circuit(qc, pauli, dt, qubits)
+        return qc
 
     def entangling_equivalents(self, instruction_name: str) -> int:
         """Every CNOT counts as one entangling-equivalent."""
@@ -257,6 +262,10 @@ def insert_depolarizing_noise(
     model of the encoding-comparison study (ref [11] uses the same
     uniform-depolarising abstraction).
 
+    Each call binds ``epsilon`` to the circuit's noise template
+    (:meth:`~repro.core.circuit.QuditCircuit.noise_template`), which is
+    built, planned and (by the density engine) compiled once.
+
     Args:
         circuit: noiseless Trotter circuit.
         encoding: object with ``entangling_equivalents(name) -> int``.
@@ -264,30 +273,12 @@ def insert_depolarizing_noise(
         single_gate_fraction: relative strength on single-qudit gates.
 
     Returns:
-        A new circuit with channel instructions inserted.
-    """
-    from ..core.channels import depolarizing
+        A :class:`~repro.core.circuit.NoisyCircuit`.
 
-    if not 0.0 <= epsilon <= 1.0:
-        raise DimensionError(f"epsilon={epsilon} outside [0, 1]")
-    noisy = QuditCircuit(circuit.dims, name=circuit.name + "+depol")
-    for instruction in circuit:
-        noisy.append(instruction)
-        if instruction.kind != "unitary":
-            continue
-        equivalents = encoding.entangling_equivalents(instruction.name)
-        dim = 1
-        for wire in instruction.qudits:
-            dim *= circuit.dims[wire]
-        if equivalents > 0:
-            prob = 1.0 - (1.0 - epsilon) ** equivalents
-            if prob > 0:
-                noisy.channel(
-                    depolarizing(dim, prob),
-                    instruction.qudits,
-                    name="depol",
-                )
-        elif epsilon > 0 and single_gate_fraction > 0:
-            prob = single_gate_fraction * epsilon
-            noisy.channel(depolarizing(dim, prob), instruction.qudits, name="depol")
-    return noisy
+    Raises:
+        DimensionError: for ``epsilon`` outside ``[0, 1]``.
+    """
+    template = circuit.noise_template(
+        encoding.entangling_equivalents, single_gate_fraction
+    )
+    return template.bind(epsilon)

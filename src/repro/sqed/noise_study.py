@@ -61,7 +61,9 @@ def trajectory_damage(
     """RMS deviation of the noisy <Lz_site(t)> trajectory from noiseless.
 
     Both trajectories use the *same* Trotter circuit, isolating the effect
-    of noise from Trotter error (ref [11] scores the same way).  Every
+    of noise from Trotter error (ref [11] scores the same way); the noisy
+    one binds ``epsilon`` to the step's noise template
+    (:func:`~repro.sqed.encodings.insert_depolarizing_noise`).  Every
     method records them with the one stepwise driver
     (:func:`~repro.sqed.trotter.evolve_observable_trajectory`) on the
     encoding's local ``local_lz(site)`` pair, so only the engine differs.
@@ -105,10 +107,11 @@ def trajectory_damage(
         RMS trajectory deviation (0 for epsilon = 0).
 
     Raises:
-        SimulationError: for a negative epsilon or an unregistered method.
+        SimulationError: for an epsilon outside ``[0, 1]`` (NaN included),
+            before any simulation, or an unregistered method.
     """
-    if epsilon < 0:
-        raise SimulationError("epsilon must be >= 0")
+    if not 0.0 <= epsilon <= 1.0:
+        raise SimulationError(f"epsilon={epsilon} outside [0, 1]")
     contract = target_error is not None and method == "auto"
     if max_bond == 0:
         max_bond = None if contract else 64

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..compile.routing import swap_network_layers
 from ..core.exceptions import DimensionError
 from .rotor import HamiltonianTerm, RotorLattice, RotorSiteOperators
 
@@ -116,6 +115,8 @@ def swap_network_overhead(lattice: RotorLattice3D) -> SwapNetworkEstimate:
     still reported since interleaved Trotter layers use it to parallelise
     the x-axis sweeps (and it is what enables periodic wrap-around).
     """
+    from ..compile.routing import swap_network_layers
+
     column_size = lattice.ly * lattice.lz
     direct = 0
     networked = 0

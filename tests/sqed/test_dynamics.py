@@ -160,6 +160,19 @@ class TestNoiseStudy:
         with pytest.raises(SimulationError):
             trajectory_damage(QuditEncoding(chain), -0.1)
 
+    @pytest.mark.parametrize("epsilon", [1.5, float("nan")])
+    def test_epsilon_outside_unit_interval_rejected_at_entry(
+        self, chain, epsilon, monkeypatch
+    ):
+        import repro.sqed.noise_study as noise_study
+
+        def no_backend(*args, **kwargs):
+            raise AssertionError("validated after building a backend")
+
+        monkeypatch.setattr(noise_study, "get_backend", no_backend)
+        with pytest.raises(SimulationError, match="outside"):
+            trajectory_damage(QuditEncoding(chain), epsilon)
+
     def test_unknown_method_rejected(self, chain):
         with pytest.raises(SimulationError):
             trajectory_damage(QuditEncoding(chain), 0.1, method="exact")

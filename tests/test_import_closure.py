@@ -20,12 +20,17 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 HEAVY = ("networkx", "scipy.optimize", "http.server")
 
 
-def loaded_after(*steps: str) -> list[set[str]]:
-    """Run ``steps`` in order in one child; the heavy modules loaded after each."""
+def loaded_after(*steps: str, watch: tuple[str, ...] = HEAVY) -> list[set[str]]:
+    """Run ``steps`` in order in one child; the ``watch`` packages loaded
+    (themselves or any submodule) after each."""
     lines = ["import json, sys", f"sys.path.insert(0, {SRC!r})"]
+    loaded = (
+        f"[w for w in {watch!r} "
+        "if any(m == w or m.startswith(w + '.') for m in sys.modules)]"
+    )
     for step in steps:
         lines.append(step)
-        lines.append(f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+        lines.append(f"print(json.dumps({loaded}))")
     out = subprocess.run(
         [sys.executable, "-c", "\n".join(lines)],
         capture_output=True,
@@ -57,13 +62,17 @@ def test_study_imports_skip_unused_dependencies(modules, absent):
 
 
 def test_ec1_damage_task_never_loads_networkx_or_scipy_optimize():
+    """Nor ``repro.compile`` or ``repro.hardware``: a 3D swap-network
+    estimate is the only sQED use of them, and imports them when run."""
     after_import, after_run = loaded_after(
         "import repro.sqed.noise_study as noise_study",
         "noise_study.damage_task(0.01, n_sites=2, t_total=1.0, n_steps=1, "
         "method='density')",
+        watch=HEAVY + ("repro.compile", "repro.hardware"),
     )
     assert not after_import
     assert not after_run & {"networkx", "scipy.optimize"}
+    assert not after_run & {"repro.compile", "repro.hardware"}
 
 
 def test_obs_server_loads_on_first_use():

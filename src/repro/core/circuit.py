@@ -707,7 +707,6 @@ class DepolarizingTemplate:
         equivalents: Callable[[str], int],
         single_gate_fraction: float,
     ) -> None:
-        self.circuit = circuit
         self.single_gate_fraction = single_gate_fraction
         self.skeleton = QuditCircuit(circuit.dims, name=circuit.name + "+depol")
         # (wires, k) -> placeholder, and id(placeholder) -> (k, target dim)
@@ -789,8 +788,10 @@ class NoisyCircuit(QuditCircuit):
     the list, so no depolarising Kraus family is formed.
     """
 
-    def __init__(self, template: DepolarizingTemplate, strengths: dict[int, float]):
-        super().__init__(template.circuit.dims, name=template.skeleton.name)
+    def __init__(
+        self, template: DepolarizingTemplate, strengths: dict[int, float]
+    ) -> None:
+        super().__init__(template.skeleton.dims, name=template.skeleton.name)
         self._listed: list[Instruction] | None = None  # built on first use
         self.template = template
         #: each slot kind's probability ``p``, by equivalents ``k``
@@ -812,14 +813,14 @@ class NoisyCircuit(QuditCircuit):
         if self._listed is not None:
             return len(self._listed)
         counts = self.template.counts
-        filled = sum(n for k, n in counts.items() if self.strengths[k] > 0)
-        return len(self.template.circuit) + filled
+        empty = sum(n for k, n in counts.items() if not self.strengths[k] > 0)
+        return len(self.template.skeleton) - empty
 
     def fills_template(self) -> bool:
         """True while this is the skeleton with a channel in every slot."""
         return self._version == 0 and all(p > 0 for p in self.strengths.values())
 
     def is_noisy(self) -> bool:
-        if self._listed is None and len(self) > len(self.template.circuit):
+        if self._listed is None and any(p > 0 for p in self.strengths.values()):
             return True
         return super().is_noisy()

@@ -320,7 +320,9 @@ class _Super:
 
     def local(self, formed: dict) -> tuple[np.ndarray, GateStructure]:
         """Matrix and structure, from ``formed`` unless constant."""
-        return self.form[1:3] if self.form[0] == "const" else formed[self]
+        if self.form[0] == "const":
+            return self.form[1], self.form[2]
+        return formed[self]
 
     def evaluate(self, strengths, dims, formed) -> tuple[np.ndarray, GateStructure]:
         """The matrix and structure of a fused or merged form, its parts in
@@ -342,7 +344,14 @@ class _Super:
 def _probability(key, strengths: dict[int, float] | None) -> float:
     """A depolarising probability: ``key`` itself, or for a template slot
     ``("slot", k)`` the bound ``strengths[k]``."""
-    return strengths[key[1]] if isinstance(key, tuple) else key
+    if isinstance(key, tuple):
+        assert strengths is not None  # slot keys come from a bound template
+        return strengths[key[1]]
+    return key
+
+
+#: An op as the compile leaves it, before any probability is bound.
+_Node = _Op | _Depolarizing | _Super
 
 
 def _kind(structures: Iterable[GateStructure]) -> str:
@@ -434,7 +443,7 @@ def _merged(first, second, dims: tuple[int, ...]) -> _Super | None:
         return None
     events = first.events + second.events
     if first.form[0] == second.form[0] == "const":
-        form = ("const", *_product(first, second, wires, dims, {}))
+        form: tuple = ("const", *_product(first, second, wires, dims, {}))
     else:
         form = ("merge", first, second)
     return _Super(form, events, wires)
@@ -508,8 +517,8 @@ def _depolarizing_lambda(p: float, d_s: int) -> float:
 
 def _own_noise(ins: Instruction) -> _Noise | None:
     """A depolarising channel's own probability and Kraus count."""
-    p = ins.depolarizing_p
-    return None if p is None else (p, len(ins.kraus))
+    p, kraus = ins.depolarizing_p, ins.kraus
+    return None if p is None or kraus is None else (p, len(kraus))
 
 
 def _noise_after(
@@ -590,7 +599,7 @@ def _diagonal_op(diagonal: np.ndarray, dims: tuple[int, ...]) -> _Op:
 #: A compiled plan before its probabilities are bound: each op with the
 #: index of its first plan step, and the superoperators formed per bind
 #: in the order they were made (so each one's parts come first).
-_Compiled = tuple[list[tuple[int, object]], list[_Super]]
+_Compiled = tuple[list[tuple[int, _Node]], list[_Super]]
 
 
 def _step_ops(
@@ -604,8 +613,9 @@ def _step_ops(
     ``noise_of(channel)`` says which channels are depolarising and where
     their probabilities come from; nothing here depends on their values.
     """
-    ops: list[tuple[int, object]] = []
+    ops: list[tuple[int, _Node]] = []
     deferred: list[_Super] = []
+    op: _Node
     # Equal structures and Kraus tuples are one object across the plan.
     shared: dict = {}
     skip = False
@@ -636,6 +646,7 @@ def _step_ops(
                 op = _unitary_op(structure, ins.qudits, dims, noise if fuse else None)
                 shared[key] = (op, fuse)
                 if fuse:
+                    assert isinstance(op, _Super)  # _fusable: not too wide
                     deferred.append(op)
             op, skip = shared[key]
         # Move back past ops on other wires (they commute) and merge into
@@ -646,15 +657,15 @@ def _step_ops(
             first, earlier = ops[j]
             if set(earlier.wires).isdisjoint(op.wires):
                 continue
-            key = ("merged", earlier, op)  # keeps both alive while shared
-            if key not in shared:
-                merged = shared[key] = _merged(earlier, op, dims)
+            pair = ("merged", earlier, op)  # keeps both alive while shared
+            if pair not in shared:
+                merged = shared[pair] = _merged(earlier, op, dims)
                 if merged is not None and merged.form[0] == "merge":
                     deferred.append(merged)
-            if shared[key] is None:
+            if shared[pair] is None:
                 break
-            ops[j] = (first, shared[key])
-            op = shared[key]
+            ops[j] = (first, shared[pair])
+            op = shared[pair]
             if place < len(ops):
                 del ops[place]
             place = j

@@ -257,11 +257,6 @@ def _plan_keywords() -> tuple[str, ...]:
     return tuple(inspect.signature(plan_backend).parameters)[1:]
 
 
-def circuit_is_noisy(circuit: QuditCircuit) -> bool:
-    """True when the circuit carries channel or reset instructions."""
-    return circuit.is_noisy()
-
-
 def _structure(circuit: QuditCircuit) -> tuple[int, int]:
     """The accuracy model's circuit inputs: two-site gates and channels.
 
@@ -439,7 +434,7 @@ class AutoBackend(SimulationBackend):
         structure = _structure(circuit) if contract else None
         noisy = auto.get("noisy")
         if noisy is None:
-            noisy = structure[1] > 0 if structure else circuit_is_noisy(circuit)
+            noisy = structure[1] > 0 if structure else circuit.is_noisy()
         n_two_site, n_channels = structure or (None, None)
         choice = self._choose(
             circuit.dims, noisy, len(circuit), auto, forward, n_two_site, n_channels

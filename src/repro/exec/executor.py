@@ -78,6 +78,7 @@ from typing import IO, TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
+from ..core import blas as _blas
 from ..core import budget as _budget
 from ..core.exceptions import SimulationError
 from ..obs import metrics as _metrics
@@ -327,7 +328,7 @@ def _worker_obs_payload(
     return payload
 
 
-def _worker_main(conn: connection.Connection) -> None:
+def _worker_main(conn: connection.Connection, blas_threads: int) -> None:
     """Supervised worker loop (module-level: picklable under spawn).
 
     Receives ``(uid, task_ref, point, attempt, faults, obs_conf,
@@ -339,7 +340,14 @@ def _worker_main(conn: connection.Connection) -> None:
     never fatal to the worker — only a hard death (kill/exit/segfault)
     ends the loop, and the supervisor notices that via the process
     sentinel.
+
+    A forked worker inherits ``blas_threads`` from the parent, which
+    spawns it inside :func:`~repro.core.blas.blas_threads`; under spawn
+    or forkserver the worker sets the count itself.  The setter is only
+    called where the count differs: it starts OpenBLAS's thread server,
+    whose threads spin in a worker that runs no BLAS.
     """
+    _blas.set_threads(blas_threads)
     # Under the fork start method the child inherits the parent's obs
     # state — enabled flags, accumulated counters, buffered spans.  A
     # drained "delta" would then re-ship the parent's samples and the
@@ -568,10 +576,10 @@ def _append_checkpoint(
 # ----------------------------------------------------------------------
 # supervised worker pool
 # ----------------------------------------------------------------------
-def _spawn_worker_process(ctx: Any) -> tuple[Any, Any]:
+def _spawn_worker_process(ctx: Any, blas_threads: int) -> tuple[Any, Any]:
     """Fork one supervised worker; returns ``(process, parent_conn)``."""
     parent, child = ctx.Pipe(duplex=True)
-    process = ctx.Process(target=_worker_main, args=(child,), daemon=True)
+    process = ctx.Process(target=_worker_main, args=(child, blas_threads), daemon=True)
     process.start()
     child.close()
     return process, parent
@@ -582,8 +590,8 @@ class _Worker:
 
     __slots__ = ("process", "conn", "item", "deadline")
 
-    def __init__(self, ctx: Any) -> None:
-        self.process, self.conn = _spawn_worker_process(ctx)
+    def __init__(self, process: Any, conn: Any) -> None:
+        self.process, self.conn = process, conn
         #: ``(run, dispatch, uid)`` while busy, else ``None``.
         self.item: tuple[_Run, _Dispatch, int] | None = None
         #: ``time.monotonic()`` deadline for the in-flight point.
@@ -865,12 +873,17 @@ class _SupervisedPool:
     :class:`FailurePolicy`; overdue points get their worker killed and
     respawned.  Many runs may be live at once: events for runs other
     than the one being pumped accumulate on their own queues.
+
+    Each worker runs ``max(1, cores // width)`` BLAS threads
+    (:attr:`blas_threads`), so the workers together use the cores this
+    process may run on instead of each starting one thread per core.
     """
 
     def __init__(self, ctx: Any, width: int, counters: dict[str, int]) -> None:
         self._ctx = ctx
         self._counters = counters
-        self._workers = [_Worker(ctx) for _ in range(width)]
+        self.blas_threads = _blas.worker_threads(width)
+        self._workers = [_Worker(*spawned) for spawned in self._spawn(width)]
         self._runs: list[_Run] = []
         self._uids = itertools.count()
 
@@ -1140,14 +1153,45 @@ class _SupervisedPool:
         if not run.abandoned:
             run.settle(dispatch, "timeout")
 
+    def _spawn(self, count: int) -> list[tuple[Any, Any]]:
+        """Start ``count`` workers at :attr:`blas_threads` BLAS threads.
+
+        Forked workers inherit the parent's count, which is set once
+        around the whole batch: each fork shuts the parent's BLAS
+        threads down, and each restore starts them again.  Workers of
+        other start methods set the count themselves.
+        """
+        forked = self._ctx.get_start_method() == "fork"
+        with _blas.blas_threads(self.blas_threads) if forked else nullcontext():
+            return [
+                _spawn_worker_process(self._ctx, self.blas_threads)
+                for _ in range(count)
+            ]
+
     def _respawn(self, worker: _Worker) -> None:
         worker.stop()
-        worker.process, worker.conn = _spawn_worker_process(self._ctx)
+        ((worker.process, worker.conn),) = self._spawn(1)
         worker.item = None
         worker.deadline = None
         self._counters["respawns"] += 1
         if _metrics.enabled:
             _metrics.inc("exec_respawns")
+
+
+def _blas_env(pool: _SupervisedPool | None) -> dict[str, Any] | str:
+    """The BLAS threading a run's points ran under, for its run record.
+
+    ``{"parent": {library: threads}, "per_worker": n}`` for a pool run;
+    ``per_worker`` is ``None`` for an in-process run, whose points ran at
+    the parent's counts.  ``"uncontrolled"`` when no library was found.
+    """
+    parent = _blas.threads()
+    if isinstance(parent, str):
+        return parent
+    return {
+        "parent": parent,
+        "per_worker": pool.blas_threads if pool is not None else None,
+    }
 
 
 def _serial_events(run: _Run) -> Iterator[_Event]:
@@ -1529,6 +1573,7 @@ class CampaignHandle:
                 "cpu_count": os.cpu_count(),
                 "platform": sys.platform,
                 "python": platform.python_version(),
+                "blas": _blas_env(self._run.pool),
             },
             "started_at": self._started_at,
             "duration_s": time.perf_counter() - self._start,

@@ -150,6 +150,16 @@ def _gantt_rows(record: RunRecord) -> list[list[str]]:
     return rows
 
 
+def _fmt_blas(blas: Any) -> str:
+    """``lib:threads,...`` in the parent, then the pool's per-worker count."""
+    if not isinstance(blas, dict):
+        return str(blas or "?")
+    parent = ",".join(f"{name}:{n}" for name, n in blas["parent"].items())
+    if blas.get("per_worker") is None:
+        return parent
+    return f"{parent} per-worker={blas['per_worker']}"
+
+
 def _sections(record: RunRecord) -> list[_Section]:
     """The report's content, renderer-agnostic."""
     env = record.get("env") or {}
@@ -162,7 +172,8 @@ def _sections(record: RunRecord) -> list[_Section]:
         f"policy: {record.get('policy', '?')}  "
         f"duration: {_fmt_s(record.get('duration_s'))}",
         f"host: cpu_count={env.get('cpu_count', '?')} "
-        f"platform={env.get('platform', '?')} python={env.get('python', '?')}",
+        f"platform={env.get('platform', '?')} python={env.get('python', '?')} "
+        f"blas={_fmt_blas(env.get('blas'))}",
     ]
     sections: list[_Section] = [("Run", header, None)]
 

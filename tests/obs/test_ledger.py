@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import blas
 from repro.exec import Campaign, CampaignExecutor, ResultCache, zip_sweep
 from repro.obs.ledger import LEDGER_FILENAME, RunLedger
 
@@ -112,6 +113,29 @@ class TestExecutorIntegration:
         assert result.values  # results delivered regardless of ledger
         # the ledger file never counts as a cache entry
         assert len(cache) == 3
+
+    def test_pool_run_records_the_per_worker_blas_count(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with CampaignExecutor(2, cache=cache) as executor:
+            executor.run(_campaign(n=4))
+        recorded = cache.ledger().latest()["env"]["blas"]
+        if blas.threads() == blas.UNCONTROLLED:
+            assert recorded == blas.UNCONTROLLED
+        else:
+            assert recorded == {
+                "parent": blas.threads(),
+                "per_worker": blas.worker_threads(2),
+            }
+
+    def test_serial_run_records_the_parent_blas_count(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with CampaignExecutor(1, cache=cache) as executor:
+            executor.run(_campaign(n=2))
+        recorded = cache.ledger().latest()["env"]["blas"]
+        if blas.threads() == blas.UNCONTROLLED:
+            assert recorded == blas.UNCONTROLLED
+        else:
+            assert recorded == {"parent": blas.threads(), "per_worker": None}
 
     def test_record_is_json_parseable_line(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

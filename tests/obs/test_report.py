@@ -74,6 +74,17 @@ class TestMarkdown:
         assert "| cache hits | 1 |" in text
         assert "2023" in text or "recorded:" in text
 
+    def test_host_line_names_blas_threads(self):
+        pool = {"parent": {"libopenblas": 8}, "per_worker": 4}
+        text = render_markdown(_record(env={"cpu_count": 8, "blas": pool}))
+        assert "blas=libopenblas:8 per-worker=4" in text
+        serial = {"parent": {"libopenblas": 8}, "per_worker": None}
+        text = render_markdown(_record(env={"blas": serial}))
+        assert "blas=libopenblas:8\n" in text
+        text = render_markdown(_record(env={"blas": "uncontrolled"}))
+        assert "blas=uncontrolled" in text
+        assert "blas=?" in render_markdown(_record())
+
     def test_quantiles_surface(self):
         text = render_markdown(_record())
         assert "| p50 | 0.5000s |" in text

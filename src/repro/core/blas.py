@@ -4,22 +4,20 @@ numpy and scipy each bundle their own OpenBLAS: numpy's
 ``libscipy_openblas64_`` (64-bit integers, ``*64_`` symbols) and scipy's
 ``libscipy_openblas``.  Setting only one of them leaves half the kernels
 at the default, and ``OPENBLAS_NUM_THREADS`` only takes effect before a
-library loads.  This module finds every loaded OpenBLAS once, through
-``ctypes``, and drives its own ``get``/``set_num_threads`` exports, in
+library loads.  This module finds every loaded OpenBLAS through
+``ctypes`` and drives its own ``get``/``set_num_threads`` exports, in
 the manner of threadpoolctl (https://github.com/joblib/threadpoolctl):
 
 * :func:`threads` — each library's thread count by name, or
   :data:`UNCONTROLLED` when no setter was found;
 * :func:`blas_threads` — a context that sets every library to ``n``
-  threads and restores each library's own count on exit;
-* :func:`worker_threads` — the count a pool worker runs at:
-  ``max(1, cores // workers)``, ``cores`` being this process's CPU
-  affinity.
+  threads and restores each library's own count on exit.
 
 Calling a setter starts that library's thread server when it is not
 running, so :func:`set_threads` leaves a library that already reads
-``n`` alone.  Loaded objects are listed with ``dl_iterate_phdr`` (Linux);
-elsewhere nothing is found and every call changes nothing.
+``n`` alone.  Loaded objects are listed with ``dl_iterate_phdr`` (Linux)
+on every call, ~0.1 ms, so a library loaded after the first call is
+still found; elsewhere nothing is found and every call changes nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from typing import Any, NamedTuple
 
-__all__ = ["UNCONTROLLED", "blas_threads", "set_threads", "threads", "worker_threads"]
+__all__ = ["UNCONTROLLED", "blas_threads", "set_threads", "threads"]
 
 #: What :func:`threads` reports when no OpenBLAS setter was found.
 UNCONTROLLED = "uncontrolled"
@@ -75,33 +73,35 @@ def _loaded_objects() -> list[str]:
     return paths
 
 
-def _discover() -> tuple[_Library, ...]:
-    found: list[_Library] = []
-    for path in _loaded_objects():
-        filename = os.path.basename(path)
-        if "openblas" not in filename:
-            continue
-        lib = ctypes.CDLL(path)
-        for getter, setter in _SYMBOLS:
-            if hasattr(lib, getter) and hasattr(lib, setter):
-                get = getattr(lib, getter)
-                get.restype = ctypes.c_int
-                # "libscipy_openblas64_-32a4b2a6.so" -> "libscipy_openblas64_"
-                name = filename.split("-")[0].split(".")[0]
-                found.append(_Library(name, get, getattr(lib, setter)))
-                break
-    return tuple(found)
+def _open(path: str) -> _Library | None:
+    """The thread-count exports of the OpenBLAS at ``path``, if any."""
+    lib = ctypes.CDLL(path)
+    for getter, setter in _SYMBOLS:
+        if hasattr(lib, getter) and hasattr(lib, setter):
+            get = getattr(lib, getter)
+            get.restype = ctypes.c_int
+            # "libscipy_openblas64_-32a4b2a6.so" -> "libscipy_openblas64_"
+            name = os.path.basename(path).split("-")[0].split(".")[0]
+            return _Library(name, get, getattr(lib, setter))
+    return None
 
 
-_found: tuple[_Library, ...] | None = None
+#: Each OpenBLAS path seen so far, opened once (``None``: no exports).
+_opened: dict[str, _Library | None] = {}
 
 
 def _libraries() -> tuple[_Library, ...]:
-    """The loaded OpenBLAS libraries, found on first use."""
-    global _found
-    if _found is None:
-        _found = _discover()
-    return _found
+    """The OpenBLAS libraries loaded now, in load order."""
+    found: list[_Library] = []
+    for path in _loaded_objects():
+        if "openblas" not in os.path.basename(path):
+            continue
+        if path not in _opened:
+            _opened[path] = _open(path)
+        lib = _opened[path]
+        if lib is not None:
+            found.append(lib)
+    return tuple(found)
 
 
 def threads() -> dict[str, int] | str:
@@ -127,19 +127,12 @@ def blas_threads(n: int) -> Iterator[None]:
     any BLAS thread of its own.
     """
     saved = [(lib, lib.get()) for lib in _libraries()]
-    set_threads(n)
+    for lib, count in saved:
+        if count != n:
+            lib.set(n)
     try:
         yield
     finally:
         for lib, count in saved:
             if lib.get() != count:
                 lib.set(count)
-
-
-def worker_threads(workers: int) -> int:
-    """BLAS threads for each of ``workers`` pool workers sharing this host."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API (macOS, Windows)
-        cores = os.cpu_count() or 1
-    return max(1, cores // max(1, workers))

@@ -107,6 +107,13 @@ __all__ = [
 #: Distinguishes "argument not given" from an explicit ``None``.
 _UNSET: Any = object()
 
+#: BLAS threads in each supervised pool worker, whatever the pool's
+#: width or the host's core count.  Small density, ``expm`` and
+#: reservoir kernels run several times faster at one thread even on an
+#: idle core, and one count for every width keeps pools of different
+#: widths bit-identical.
+WORKER_BLAS_THREADS = 1
+
 #: One completion event: the point, ("ok", value) or ("error", record),
 #: and the point's timeline fields.
 _Event = tuple[CampaignPoint, tuple[str, Any], dict[str, Any]]
@@ -328,7 +335,7 @@ def _worker_obs_payload(
     return payload
 
 
-def _worker_main(conn: connection.Connection, blas_threads: int) -> None:
+def _worker_main(conn: connection.Connection) -> None:
     """Supervised worker loop (module-level: picklable under spawn).
 
     Receives ``(uid, task_ref, point, attempt, faults, obs_conf,
@@ -341,13 +348,13 @@ def _worker_main(conn: connection.Connection, blas_threads: int) -> None:
     ends the loop, and the supervisor notices that via the process
     sentinel.
 
-    A forked worker inherits ``blas_threads`` from the parent, which
-    spawns it inside :func:`~repro.core.blas.blas_threads`; under spawn
-    or forkserver the worker sets the count itself.  The setter is only
-    called where the count differs: it starts OpenBLAS's thread server,
-    whose threads spin in a worker that runs no BLAS.
+    A forked worker inherits :data:`WORKER_BLAS_THREADS` from the
+    parent, which spawns it inside :func:`~repro.core.blas.blas_threads`;
+    under spawn or forkserver the worker sets the count itself.  The
+    setter is only called where the count differs: it starts OpenBLAS's
+    thread server, whose threads spin in a worker that runs no BLAS.
     """
-    _blas.set_threads(blas_threads)
+    _blas.set_threads(WORKER_BLAS_THREADS)
     # Under the fork start method the child inherits the parent's obs
     # state — enabled flags, accumulated counters, buffered spans.  A
     # drained "delta" would then re-ship the parent's samples and the
@@ -576,10 +583,10 @@ def _append_checkpoint(
 # ----------------------------------------------------------------------
 # supervised worker pool
 # ----------------------------------------------------------------------
-def _spawn_worker_process(ctx: Any, blas_threads: int) -> tuple[Any, Any]:
+def _spawn_worker_process(ctx: Any) -> tuple[Any, Any]:
     """Fork one supervised worker; returns ``(process, parent_conn)``."""
     parent, child = ctx.Pipe(duplex=True)
-    process = ctx.Process(target=_worker_main, args=(child, blas_threads), daemon=True)
+    process = ctx.Process(target=_worker_main, args=(child,), daemon=True)
     process.start()
     child.close()
     return process, parent
@@ -874,15 +881,14 @@ class _SupervisedPool:
     respawned.  Many runs may be live at once: events for runs other
     than the one being pumped accumulate on their own queues.
 
-    Each worker runs ``max(1, cores // width)`` BLAS threads
-    (:attr:`blas_threads`), so the workers together use the cores this
-    process may run on instead of each starting one thread per core.
+    Each worker runs :data:`WORKER_BLAS_THREADS` BLAS threads whatever
+    the pool's width, so the workers share the cores instead of each
+    starting one thread per core, and every width computes the same bits.
     """
 
     def __init__(self, ctx: Any, width: int, counters: dict[str, int]) -> None:
         self._ctx = ctx
         self._counters = counters
-        self.blas_threads = _blas.worker_threads(width)
         self._workers = [_Worker(*spawned) for spawned in self._spawn(width)]
         self._runs: list[_Run] = []
         self._uids = itertools.count()
@@ -1154,7 +1160,7 @@ class _SupervisedPool:
             run.settle(dispatch, "timeout")
 
     def _spawn(self, count: int) -> list[tuple[Any, Any]]:
-        """Start ``count`` workers at :attr:`blas_threads` BLAS threads.
+        """Start ``count`` workers at :data:`WORKER_BLAS_THREADS`.
 
         Forked workers inherit the parent's count, which is set once
         around the whole batch: each fork shuts the parent's BLAS
@@ -1162,11 +1168,8 @@ class _SupervisedPool:
         other start methods set the count themselves.
         """
         forked = self._ctx.get_start_method() == "fork"
-        with _blas.blas_threads(self.blas_threads) if forked else nullcontext():
-            return [
-                _spawn_worker_process(self._ctx, self.blas_threads)
-                for _ in range(count)
-            ]
+        with _blas.blas_threads(WORKER_BLAS_THREADS) if forked else nullcontext():
+            return [_spawn_worker_process(self._ctx) for _ in range(count)]
 
     def _respawn(self, worker: _Worker) -> None:
         worker.stop()
@@ -1181,16 +1184,17 @@ class _SupervisedPool:
 def _blas_env(pool: _SupervisedPool | None) -> dict[str, Any] | str:
     """The BLAS threading a run's points ran under, for its run record.
 
-    ``{"parent": {library: threads}, "per_worker": n}`` for a pool run;
-    ``per_worker`` is ``None`` for an in-process run, whose points ran at
-    the parent's counts.  ``"uncontrolled"`` when no library was found.
+    ``{"parent": {library: threads}, "per_worker": WORKER_BLAS_THREADS}``
+    for a pool run; ``per_worker`` is ``None`` for an in-process run,
+    whose points ran at the parent's counts.  ``"uncontrolled"`` when no
+    library was found.
     """
     parent = _blas.threads()
     if isinstance(parent, str):
         return parent
     return {
         "parent": parent,
-        "per_worker": pool.blas_threads if pool is not None else None,
+        "per_worker": WORKER_BLAS_THREADS if pool is not None else None,
     }
 
 

@@ -1,19 +1,23 @@
 """BLAS threads in the supervised pool.
 
-Each pool worker runs ``max(1, cores // workers)`` BLAS threads.  The
-parent sets that count once around spawning the workers and restores
-its own afterwards, so forked workers inherit the count without starting
-any BLAS thread, and the parent's in-process points keep the library
-default.
+Each pool worker runs ``WORKER_BLAS_THREADS`` (one) BLAS thread, whatever
+the pool's width.  The parent sets that count once around spawning the
+workers and restores its own afterwards, so forked workers inherit the
+count without starting any BLAS thread, and the parent's in-process
+points keep the library default.
 """
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.core import blas
 from repro.exec import Campaign, CampaignExecutor, FaultPlan, run_campaign, zip_sweep
+from repro.exec.executor import WORKER_BLAS_THREADS
 
 pytestmark = pytest.mark.skipif(
     blas.threads() == blas.UNCONTROLLED, reason="no controllable OpenBLAS loaded"
@@ -34,15 +38,12 @@ def _campaign(task, n=4):
     return Campaign(task=task, sweep=zip_sweep(x=list(range(n))), seed=5)
 
 
-def _planned(workers):
-    return {name: blas.worker_threads(workers) for name in blas.threads()}
+def _planned():
+    return {name: WORKER_BLAS_THREADS for name in blas.threads()}
 
 
-def test_worker_count_follows_affinity_and_pool_width():
-    cores = len(os.sched_getaffinity(0))
-    assert blas.worker_threads(1) == max(1, cores)
-    assert blas.worker_threads(2) == max(1, cores // 2)
-    assert blas.worker_threads(10 * cores) == 1
+def test_worker_count_is_one():
+    assert WORKER_BLAS_THREADS == 1
 
 
 def test_blas_threads_restores_each_library():
@@ -52,10 +53,68 @@ def test_blas_threads_restores_each_library():
     assert blas.threads() == before
 
 
-def test_pool_task_sees_the_planned_count():
-    with CampaignExecutor(2) as executor:
+def test_every_loaded_bundled_build_is_controlled():
+    """numpy's and scipy's own OpenBLAS builds, once both are loaded."""
+    import numpy  # noqa: F401
+    import scipy.linalg  # noqa: F401
+
+    loaded = {
+        os.path.basename(path).split("-")[0].split(".")[0]
+        for path in blas._loaded_objects()
+        if os.path.basename(path).startswith("libscipy_openblas")
+    }
+    assert loaded <= set(blas.threads())
+
+
+def test_a_library_loaded_after_the_first_call_is_found():
+    """Load the module before scipy: its libraries must still be found,
+    as a copy of the module loaded after scipy finds them."""
+    script = """
+import importlib.util, json, sys
+
+def load():
+    spec = importlib.util.spec_from_file_location("blas_copy", sys.argv[1])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+early = load()
+import numpy
+before = early.threads()
+import scipy.linalg
+after = early.threads()
+with early.blas_threads(1):
+    inside = early.threads()
+print(json.dumps([before, after, inside, load().threads()]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script, blas.__file__],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    before, after, inside, fresh = json.loads(out.stdout)
+    assert after == fresh
+    assert set(before) <= set(after)
+    assert set(inside) == set(after)
+    assert set(inside.values()) == {1}
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_pool_task_sees_the_planned_count(width):
+    with CampaignExecutor(width) as executor:
         values = executor.run(_campaign(blas_task)).values
-    assert values == [_planned(2)] * 4
+    assert values == [_planned()] * 4
+
+
+def test_pool_spawned_under_a_one_thread_cap_runs_one_thread():
+    before = blas.threads()
+    with blas.blas_threads(1):
+        with CampaignExecutor(2) as executor:
+            values = executor.run(_campaign(blas_task)).values
+        assert set(blas.threads().values()) == {1}
+    assert values == [{name: 1 for name in before}] * 4
+    assert blas.threads() == before
 
 
 def test_parent_count_unchanged_after_warm_and_respawn():
@@ -69,7 +128,7 @@ def test_parent_count_unchanged_after_warm_and_respawn():
         assert executor.stats["respawns"] >= 1
         assert blas.threads() == before
     # Every point ran on a respawned worker.
-    assert values == [_planned(2)] * 4
+    assert values == [_planned()] * 4
 
 
 @pytest.mark.skipif(
@@ -86,7 +145,7 @@ def test_forked_worker_starts_no_blas_threads():
 
 
 def test_pool_without_blas_control_spawns_as_before(monkeypatch):
-    monkeypatch.setattr(blas, "_found", ())
+    monkeypatch.setattr(blas, "_loaded_objects", lambda: [])
     assert blas.threads() == blas.UNCONTROLLED
     campaign = _campaign(blas_task)
     with CampaignExecutor(2) as executor:
@@ -101,4 +160,4 @@ def test_spawned_worker_sets_the_planned_count(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", lambda *a: spawn)
     with CampaignExecutor(2) as executor:
         values = executor.run(_campaign(blas_task, n=2)).values
-    assert values == [_planned(2)] * 2
+    assert values == [_planned()] * 2

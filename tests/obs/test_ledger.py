@@ -122,10 +122,7 @@ class TestExecutorIntegration:
         if blas.threads() == blas.UNCONTROLLED:
             assert recorded == blas.UNCONTROLLED
         else:
-            assert recorded == {
-                "parent": blas.threads(),
-                "per_worker": blas.worker_threads(2),
-            }
+            assert recorded == {"parent": blas.threads(), "per_worker": 1}
 
     def test_serial_run_records_the_parent_blas_count(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

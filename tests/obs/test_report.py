@@ -75,9 +75,9 @@ class TestMarkdown:
         assert "2023" in text or "recorded:" in text
 
     def test_host_line_names_blas_threads(self):
-        pool = {"parent": {"libopenblas": 8}, "per_worker": 4}
+        pool = {"parent": {"libopenblas": 8}, "per_worker": 1}
         text = render_markdown(_record(env={"cpu_count": 8, "blas": pool}))
-        assert "blas=libopenblas:8 per-worker=4" in text
+        assert "blas=libopenblas:8 per-worker=1" in text
         serial = {"parent": {"libopenblas": 8}, "per_worker": None}
         text = render_markdown(_record(env={"blas": serial}))
         assert "blas=libopenblas:8\n" in text

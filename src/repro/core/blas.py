@@ -16,8 +16,9 @@ the manner of threadpoolctl (https://github.com/joblib/threadpoolctl):
 Calling a setter starts that library's thread server when it is not
 running, so :func:`set_threads` leaves a library that already reads
 ``n`` alone.  Loaded objects are listed with ``dl_iterate_phdr`` (Linux)
-on every call, ~0.1 ms, so a library loaded after the first call is
-still found; elsewhere nothing is found and every call changes nothing.
+again whenever its load counters move, so a library loaded after the
+first call is still found; elsewhere nothing is found and every call
+changes nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 __all__ = ["UNCONTROLLED", "blas_threads", "set_threads", "threads"]
 
@@ -51,57 +52,91 @@ class _Library(NamedTuple):
 
 
 class _PhdrInfo(ctypes.Structure):
-    # The leading fields of ``struct dl_phdr_info``; only the name is read.
-    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+    # The leading fields of ``struct dl_phdr_info``.  ``adds`` and
+    # ``subs`` count the objects loaded and unloaded so far; the C
+    # library fills them where the callback's ``size`` covers them.
+    _fields_ = [
+        ("addr", ctypes.c_void_p),
+        ("name", ctypes.c_char_p),
+        ("phdr", ctypes.c_void_p),
+        ("phnum", ctypes.c_uint16),
+        ("adds", ctypes.c_ulonglong),
+        ("subs", ctypes.c_ulonglong),
+    ]
+
+
+_Visit = ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
+)
+
+
+def _walk(visit: Callable[[_PhdrInfo, int], int]) -> None:
+    """``visit(info, size)`` each loaded object until it returns non-zero."""
+    if sys.platform.startswith("linux"):
+        callback = _Visit(lambda info, size, _data: visit(info.contents, size))
+        ctypes.CDLL(None).dl_iterate_phdr(callback, None)
 
 
 def _loaded_objects() -> list[str]:
     """Paths of the shared objects loaded into this process (Linux)."""
-    if not sys.platform.startswith("linux"):
-        return []
     paths: list[str] = []
 
-    @ctypes.CFUNCTYPE(
-        ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
-    )
-    def visit(info: Any, _size: int, _data: object) -> int:
-        if info.contents.name:
-            paths.append(os.fsdecode(info.contents.name))
+    def visit(info: _PhdrInfo, _size: int) -> int:
+        if info.name:
+            paths.append(os.fsdecode(info.name))
         return 0
 
-    ctypes.CDLL(None).dl_iterate_phdr(visit, None)
+    _walk(visit)
     return paths
 
 
-def _open(path: str) -> _Library | None:
-    """The thread-count exports of the OpenBLAS at ``path``, if any."""
-    lib = ctypes.CDLL(path)
-    for getter, setter in _SYMBOLS:
-        if hasattr(lib, getter) and hasattr(lib, setter):
-            get = getattr(lib, getter)
-            get.restype = ctypes.c_int
-            # "libscipy_openblas64_-32a4b2a6.so" -> "libscipy_openblas64_"
-            name = os.path.basename(path).split("-")[0].split(".")[0]
-            return _Library(name, get, getattr(lib, setter))
-    return None
+def _load_events() -> tuple[int, int] | None:
+    """Objects loaded and unloaded so far, or ``None`` where not counted."""
+    events: list[tuple[int, int]] = []
+
+    def visit(info: _PhdrInfo, size: int) -> int:
+        if size >= ctypes.sizeof(_PhdrInfo):
+            events.append((info.adds, info.subs))
+        return 1  # every entry carries the same counts
+
+    _walk(visit)
+    return events[0] if events else None
 
 
-#: Each OpenBLAS path seen so far, opened once (``None``: no exports).
-_opened: dict[str, _Library | None] = {}
+def _discover() -> tuple[_Library, ...]:
+    found: list[_Library] = []
+    for path in _loaded_objects():
+        filename = os.path.basename(path)
+        if "openblas" not in filename:
+            continue
+        lib = ctypes.CDLL(path)
+        for getter, setter in _SYMBOLS:
+            if hasattr(lib, getter) and hasattr(lib, setter):
+                get = getattr(lib, getter)
+                get.restype = ctypes.c_int
+                # "libscipy_openblas64_-32a4b2a6.so" -> "libscipy_openblas64_"
+                name = filename.split("-")[0].split(".")[0]
+                found.append(_Library(name, get, getattr(lib, setter)))
+                break
+    return tuple(found)
+
+
+_found: tuple[_Library, ...] = ()
+#: :func:`_load_events` when ``_found`` was listed.
+_found_at: tuple[int, int] | None = None
 
 
 def _libraries() -> tuple[_Library, ...]:
-    """The OpenBLAS libraries loaded now, in load order."""
-    found: list[_Library] = []
-    for path in _loaded_objects():
-        if "openblas" not in os.path.basename(path):
-            continue
-        if path not in _opened:
-            _opened[path] = _open(path)
-        lib = _opened[path]
-        if lib is not None:
-            found.append(lib)
-    return tuple(found)
+    """The OpenBLAS libraries loaded now, in load order.
+
+    Listed again whenever an object was loaded or unloaded since the last
+    listing, so a library loaded after the first call is still found.
+    """
+    global _found, _found_at
+    events = _load_events()
+    if events is None or events != _found_at:
+        _found, _found_at = _discover(), events
+    return _found
 
 
 def threads() -> dict[str, int] | str:

@@ -1,10 +1,10 @@
 """BLAS threads in the supervised pool.
 
-Each pool worker runs ``WORKER_BLAS_THREADS`` (one) BLAS thread, whatever
-the pool's width.  The parent sets that count once around spawning the
-workers and restores its own afterwards, so forked workers inherit the
-count without starting any BLAS thread, and the parent's in-process
-points keep the library default.
+Each pool worker runs one BLAS thread, whatever the pool's width.  The
+parent sets that count once around spawning the workers and restores
+its own afterwards, so forked workers inherit the count without starting
+any BLAS thread, and the parent's in-process points keep the library
+default.
 """
 
 import json
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core import blas
 from repro.exec import Campaign, CampaignExecutor, FaultPlan, run_campaign, zip_sweep
-from repro.exec.executor import WORKER_BLAS_THREADS
 
 pytestmark = pytest.mark.skipif(
     blas.threads() == blas.UNCONTROLLED, reason="no controllable OpenBLAS loaded"
@@ -39,11 +38,7 @@ def _campaign(task, n=4):
 
 
 def _planned():
-    return {name: WORKER_BLAS_THREADS for name in blas.threads()}
-
-
-def test_worker_count_is_one():
-    assert WORKER_BLAS_THREADS == 1
+    return {name: 1 for name in blas.threads()}
 
 
 def test_blas_threads_restores_each_library():
@@ -145,7 +140,7 @@ def test_forked_worker_starts_no_blas_threads():
 
 
 def test_pool_without_blas_control_spawns_as_before(monkeypatch):
-    monkeypatch.setattr(blas, "_loaded_objects", lambda: [])
+    monkeypatch.setattr(blas, "_libraries", lambda: ())
     assert blas.threads() == blas.UNCONTROLLED
     campaign = _campaign(blas_task)
     with CampaignExecutor(2) as executor:
